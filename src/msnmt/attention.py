@@ -1,5 +1,5 @@
-"""Local predictive attention over a Gaussian-weighted window, single and
-dual source.
+"""Local predictive attention over a Gaussian-weighted window, batched over
+examples, for one or two sources.
 
 The decoder's top hidden state predicts a real-valued source position p_t in
 (0, S); an integer window of radius D around floor(p_t), clamped to the
@@ -7,8 +7,14 @@ sentence, is scored bilinearly and softmax-normalized, then damped by a
 Gaussian centered at p_t with sigma = D/2.  Window MEMBERSHIP is treated as
 non-differentiable; p_t receives gradient through the Gaussian factor.
 
-Positions here are in ORIGINAL word order (the encoder re-indexes its
-reversed pass before attention sees it).
+``local_p`` is the one implementation: it attends for a whole batch over one
+source's top encoder states, and ``local_p_backward`` is its gradient.  The
+single-example functions (``attend``, ``predict_position``,
+``window_weights``, ``multi_attend``) are its B=1 case.
+
+Positions are in ORIGINAL word order.  The encoder reads sources reversed,
+so ``local_p`` takes its top states in encoder order and reads original
+position s of example b at row ``lens[b] - 1 - s``.
 """
 
 from dataclasses import dataclass
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .numerics import Parameter, sigmoid, softmax
+from .numerics import Parameter, sigmoid
 
 
 @dataclass
@@ -31,88 +37,150 @@ class AttentionParams:
 
 @dataclass
 class AttentionTrace:
-    """Everything one attention step looked at, for dumps and tests."""
+    """Everything one attention step looked at, for dumps and tests.
 
-    p_t: float
+    From ``local_p``: p_t [B]; window, align and weights [B, W], every row
+    padded to the common width W with ``valid`` marking its real slots
+    (padded slots repeat the row's last position and weigh exactly 0);
+    context [B, d].  For a single example (``attend``, ``window_weights``):
+    p_t a float, window/align/weights over the real slots only, context [d].
+    """
+
+    p_t: object          # [B], or a float for one example
     window: np.ndarray   # integer source positions
     align: np.ndarray    # softmax weights over the window, sum to 1
     weights: np.ndarray  # a_t(s) = align * gaussian
-    context: np.ndarray  # [d]
+    context: np.ndarray  # [B, d], or [d] for one example
+    valid: np.ndarray = None
+
+
+def _positions(h, params, lens):
+    """p_t = S * sigmoid(v_p . tanh(W_p h_t)) per row, strictly inside (0, S).
+    Returns (p_t [B], tanh output [B, d], sigmoid [B])."""
+    m = np.tanh(h @ params.w_p.value.T)
+    sg = sigmoid(m @ params.v_p.value)
+    return lens * sg, m, sg
+
+
+def _window_weights(h, tops, lens, p, D, w_a):
+    """Windows around p [B], their softmax alignment and Gaussian-damped
+    weights.  Returns (trace without context, gathered window states
+    [B, W, d], encoder-order row index [B, W], u = W_a^T h [B, d], gauss)."""
+    if D < 1:
+        raise ConfigError(f"attention window radius D must be >= 1, got {D}")
+    last = lens - 1
+    center = p.astype(np.int64)                  # floor, as p > 0
+    hi = np.minimum(center + D, last)[:, None]
+    # no window is wider than 2D+1 or than the longest source in the batch
+    pos = np.maximum(center - D, 0)[:, None] + np.arange(min(2 * D + 1, tops.shape[1]))
+    valid = pos <= hi
+    np.minimum(pos, hi, out=pos)
+    idx = last[:, None] - pos
+    hs = tops[np.arange(len(p))[:, None], idx]
+    u = h @ w_a.value                            # score(h_t, h_s) = (W_a^T h_t) . h_s
+    scores = (hs @ u[:, :, None])[:, :, 0]
+    # a padded slot repeats a real position, so each row's max is a real score
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    e *= valid
+    align = e / e.sum(axis=1, keepdims=True)
+    sigma = D / 2.0
+    gauss = np.exp((pos - p[:, None]) ** 2 / (-2.0 * sigma * sigma))
+    trace = AttentionTrace(p_t=p, window=pos, align=align, weights=align * gauss,
+                           context=None, valid=valid)
+    return trace, hs, idx, u, gauss
+
+
+def local_p(h, tops, lens, params: AttentionParams, D):
+    """Local-p attention for a batch over one source.
+
+    h [B, d]: decoder top states.  tops [B, T, d]: the source's top encoder
+    states in encoder order, right-padded.  lens [B]: source lengths, each
+    at least 1.  Returns (ctx [B, d], trace, cache).  The cache keeps the
+    window index, align and weights, not the gathered window states.
+    """
+    p, m, sg = _positions(h, params, lens)
+    trace, hs, idx, u, gauss = _window_weights(h, tops, lens, p, D, params.w_a)
+    ctx = (trace.weights[:, None, :] @ hs)[:, 0]
+    trace.context = ctx
+    cache = (h, tops, lens, idx, m, sg, u, gauss, trace, D)
+    return ctx, trace, cache
+
+
+def local_p_backward(dctx, cache, params: AttentionParams, dtops):
+    """Backward through local_p for the whole batch.  Accumulates into params,
+    adds the window states' gradient into dtops [B, T, d] (encoder order,
+    like tops) and returns dh [B, d]."""
+    h, tops, lens, idx, m, sg, u, gauss, trace, D = cache
+    align, weights = trace.align, trace.weights
+    rows = np.arange(len(h))[:, None]
+    hs = tops[rows, idx]
+    dw = (hs @ dctx[:, :, None])[:, :, 0]         # d a_t(s)
+    dalign = dw * gauss
+    dgauss = dw * align
+    sigma = D / 2.0
+    dp = np.sum(dgauss * gauss * (trace.window - trace.p_t[:, None]) / (sigma * sigma), axis=1)
+    dscores = align * (dalign - np.sum(align * dalign, axis=1, keepdims=True))
+    du = (dscores[:, None, :] @ hs)[:, 0]
+    # padded slots have zero weight and zero dscores, so they add nothing
+    np.add.at(dtops, (rows, idx),
+              weights[:, :, None] * dctx[:, None, :] + dscores[:, :, None] * u[:, None, :])
+    params.w_a.grad += h.T @ du
+    dq = dp * lens * sg * (1.0 - sg)
+    params.v_p.grad += dq @ m
+    dz = dq[:, None] * params.v_p.value * (1.0 - m * m)
+    params.w_p.grad += dz.T @ h
+    return du @ params.w_a.value.T + dz @ params.w_p.value
+
+
+def _one(trace):
+    """Row 0 of a batched trace, over its real window slots only."""
+    n = int(trace.valid[0].sum())
+    ctx = None if trace.context is None else trace.context[0]
+    return AttentionTrace(p_t=float(trace.p_t[0]), window=trace.window[0, :n],
+                          align=trace.align[0, :n], weights=trace.weights[0, :n],
+                          context=ctx)
+
+
+def _as_batch(h_t, top_seq):
+    """One example as a batch of one: h [1, d], encoder-order tops [1, S, d], lens [1]."""
+    top_seq = np.asarray(top_seq)
+    if len(top_seq) < 1:
+        raise ConfigError("attention over an empty source")
+    return np.asarray(h_t)[None], top_seq[None, ::-1], np.array([len(top_seq)])
 
 
 def predict_position(h_t, params: AttentionParams, S):
-    """p_t = S * sigmoid(v_p . tanh(W_p h_t)), strictly inside (0, S)."""
+    """p_t for one example; returns (p_t, sigmoid(v_p . tanh(W_p h_t)))."""
     if S < 1:
         raise ConfigError(f"predict_position: source length {S} < 1")
-    m = np.tanh(params.w_p.value @ h_t)
-    q = float(params.v_p.value @ m)
-    sg = 1.0 / (1.0 + np.exp(-q))
-    p_t = S * sg
-    cache = (h_t, m, sg, S)
-    return p_t, cache
-
-
-def predict_position_backward(dp, cache, params: AttentionParams):
-    h_t, m, sg, S = cache
-    dq = dp * S * sg * (1.0 - sg)
-    params.v_p.grad += dq * m
-    dm = dq * params.v_p.value
-    dz = dm * (1.0 - m * m)
-    params.w_p.grad += np.outer(dz, h_t)
-    return params.w_p.value.T @ dz
-
-
-def window_bounds(p_t, D, S):
-    center = int(np.floor(p_t))
-    lo = max(0, center - D)
-    hi = min(S - 1, center + D)
-    return lo, hi
+    p, _m, sg = _positions(np.asarray(h_t)[None], params, np.array([S]))
+    return float(p[0]), float(sg[0])
 
 
 def window_weights(h_t, top_seq, p_t, D, w_a: Parameter):
-    """Score the window around p_t and build the combined weights a_t(s).
+    """Score the window around a given p_t for one example.
 
-    Returns (trace, cache); trace.context is filled in by context_vector.
+    Returns (trace, None); trace.context is filled in by context_vector.
     """
-    if D < 1:
-        raise ConfigError(f"attention window radius D must be >= 1, got {D}")
-    S = len(top_seq)
-    if S < 1:
-        raise ConfigError("window_weights: empty source")
-    lo, hi = window_bounds(p_t, D, S)
-    win = np.arange(lo, hi + 1)
-    hs = np.asarray(top_seq)[win]                 # [W, d]
-    u = w_a.value.T @ h_t                         # score(h_t, h_s) = (W_a^T h_t) . h_s
-    scores = hs @ u
-    align = softmax(scores)
-    sigma = D / 2.0
-    gauss = np.exp(-((win - p_t) ** 2) / (2.0 * sigma * sigma))
-    weights = align * gauss
-    trace = AttentionTrace(p_t=float(p_t), window=win, align=align,
-                           weights=weights, context=None)
-    cache = (h_t, hs, win, u, align, gauss, sigma)
-    return trace, cache
+    h, tops, lens = _as_batch(h_t, top_seq)
+    trace, *_ = _window_weights(h, tops, lens, np.array([float(p_t)]), D, w_a)
+    return _one(trace), None
 
 
 def context_vector(trace: AttentionTrace, top_seq):
-    """c_t = sum over the window of a_t(s) * h_s."""
-    hs = np.asarray(top_seq)[trace.window]
-    ctx = trace.weights @ hs
+    """c_t = sum over the window of a_t(s) * h_s, for one example."""
+    ctx = trace.weights @ np.asarray(top_seq)[trace.window]
     trace.context = ctx
     return ctx
 
 
 def attend(h_t, top_seq, params: AttentionParams, D):
-    """Full single-source step: position, window, context.
+    """local_p for one example with top_seq [S, d] in original word order.
 
-    Returns (ctx [d], trace, cache) for one example.
+    Returns (ctx [d], trace, cache).
     """
-    S = len(top_seq)
-    p_t, pcache = predict_position(h_t, params, S)
-    trace, wcache = window_weights(h_t, top_seq, p_t, D, params.w_a)
-    ctx = context_vector(trace, top_seq)
-    cache = (pcache, wcache, trace)
-    return ctx, trace, cache
+    ctx, trace, cache = local_p(*_as_batch(h_t, top_seq), params, D)
+    return ctx[0], _one(trace), cache
 
 
 def attend_backward(dctx, cache, params: AttentionParams):
@@ -120,24 +188,11 @@ def attend_backward(dctx, cache, params: AttentionParams):
 
     Returns (dh_t [d], window positions, dtop over window [W, d]).
     """
-    pcache, wcache, trace = cache
-    h_t, hs, win, u, align, gauss, sigma = wcache
-    weights = trace.weights
-    p_t = trace.p_t
-
-    dw = hs @ dctx                       # d a_t(s)
-    dhs = np.outer(weights, dctx)        # context term
-    dalign = dw * gauss
-    dgauss = dw * align
-    dp = float(np.sum(dgauss * gauss * (win - p_t) / (sigma * sigma)))
-    # softmax backward over the window
-    dscores = align * (dalign - float(align @ dalign))
-    du = hs.T @ dscores
-    dhs += np.outer(dscores, u)
-    params.w_a.grad += np.outer(h_t, du)
-    dh_t = params.w_a.value @ du
-    dh_t = dh_t + predict_position_backward(dp, pcache, params)
-    return dh_t, win, dhs
+    _, tops, *_, trace, _ = cache
+    dtops = np.zeros_like(tops)
+    dh = local_p_backward(np.asarray(dctx)[None], cache, params, dtops)
+    win = _one(trace).window
+    return dh[0], win, dtops[0, ::-1][win]
 
 
 def attentional_hidden(h_t, contexts, proj: Parameter):
@@ -146,8 +201,7 @@ def attentional_hidden(h_t, contexts, proj: Parameter):
     if len(contexts) not in (1, 2):
         raise ConfigError(f"attentional_hidden: {len(contexts)} contexts")
     h_t = np.atleast_2d(h_t)
-    contexts = [np.atleast_2d(c) for c in contexts]
-    cat = np.concatenate([h_t] + contexts, axis=1)
+    cat = np.concatenate([h_t, *contexts], axis=1)
     d = h_t.shape[1]
     if proj.value.shape != (d, cat.shape[1]):
         raise DimensionError(
@@ -173,5 +227,5 @@ def multi_attend(h_t, enc1_seq, enc2_seq, params1, params2, proj, D):
     (h_tilde [d], trace1, trace2)."""
     c1, t1, _ = attend(h_t, enc1_seq, params1, D)
     c2, t2, _ = attend(h_t, enc2_seq, params2, D)
-    out, _ = attentional_hidden(h_t, [c1, c2], proj)
+    out, _ = attentional_hidden(h_t, [c1[None], c2[None]], proj)
     return out[0], t1, t2

@@ -8,6 +8,7 @@ at id-encoding time; targets are not.  Reserved ids: 0 <pad>, 1 <s>, 2 </s>,
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -71,11 +72,7 @@ def build_vocab(lines, max_size):
     """Top (max_size - 4) tokens by frequency, ties broken lexicographically."""
     if max_size <= 4:
         raise ConfigError(f"vocabulary size must exceed 4, got {max_size}")
-    counts = Counter()
-    n_lines = 0
-    for line in lines:
-        n_lines += 1
-        counts.update(line.split())
+    counts = Counter(chain.from_iterable(map(str.split, lines)))
     if not counts:
         raise ConfigError("empty corpus: no tokens to build a vocabulary from")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -86,10 +83,10 @@ def build_vocab(lines, max_size):
 def encode_line(line, vocab: Vocabulary, reverse):
     """Whitespace split, OOV -> <unk>, reversed iff reverse (sources only).
     No <s>/</s> framing here."""
-    ids = [vocab.id_of(t) for t in line.split()]
+    toks = line.split()
     if reverse:
-        ids.reverse()
-    return ids
+        toks.reverse()
+    return list(map(vocab.index.get, toks, repeat(UNK)))
 
 
 def decode_ids(ids, vocab: Vocabulary):
@@ -99,9 +96,12 @@ def decode_ids(ids, vocab: Vocabulary):
 def read_lines(path):
     try:
         with open(path, encoding="utf-8") as f:
-            return [line.rstrip("\n") for line in f]
-    except OSError as e:
+            lines = f.read().split("\n")
+    except (OSError, UnicodeDecodeError) as e:
         raise CorpusIOError(f"cannot read {path}: {e}") from e
+    if lines[-1] == "":
+        lines.pop()   # the newline that ends the last line
+    return lines
 
 
 def load_parallel(paths, max_len=50):
@@ -118,11 +118,11 @@ def load_parallel(paths, max_len=50):
     tuples = []
     dropped = 0
     for rows in zip(*sides):
-        toks = [r.split() for r in rows]
-        if any(len(t) == 0 for t in toks) or any(len(t) > max_len for t in toks):
+        n_toks = list(map(len, map(str.split, rows)))
+        if min(n_toks) == 0 or max(n_toks) > max_len:
             dropped += 1
             continue
-        tuples.append(tuple(rows))
+        tuples.append(rows)
     return tuples, dropped
 
 
@@ -185,15 +185,14 @@ def make_batch(id_tuples):
 
 def encode_tuples(tuples, src_vocabs, tgt_vocab):
     """Token tuples -> id tuples (sources reversed)."""
-    out = []
     for tup in tuples:
-        srcs = tup[:-1]
-        if len(srcs) != len(src_vocabs):
-            raise ConfigError(f"{len(srcs)} source sides but {len(src_vocabs)} source vocabularies")
-        ids = tuple(encode_line(s, v, reverse=True) for s, v in zip(srcs, src_vocabs))
-        ids = ids + (encode_line(tup[-1], tgt_vocab, reverse=False),)
-        out.append(ids)
-    return out
+        if len(tup) - 1 != len(src_vocabs):
+            raise ConfigError(f"{len(tup) - 1} source sides but {len(src_vocabs)} source vocabularies")
+    # one side at a time, so each side looks its tokens up in one vocabulary
+    sides = [[encode_line(tup[k], v, reverse=True) for tup in tuples]
+             for k, v in enumerate(src_vocabs)]
+    sides.append([encode_line(tup[-1], tgt_vocab, reverse=False) for tup in tuples])
+    return list(zip(*sides))
 
 
 def batchify(id_tuples, batch_size, rng):

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BOS, EOS, PAD, UNK, decode_ids, encode_line
+from .data import BOS, EOS, PAD, decode_ids, encode_line, read_lines
 from .errors import AlignmentError, ConfigError, CorpusIOError
 from .model import DecodeSession
 
@@ -46,20 +46,17 @@ def beam_decode(params, config, src1_ids, src2_ids=None, beam=8, max_len=None,
     states, htilde = sess.initial()
     live = [Hypothesis(tokens=[], logprob=0.0, states=states, htilde=htilde)]
     done = []
-    prev_token = [BOS]
 
     for _step in range(max_len):
         candidates = []
         for hyp in live:
             last = hyp.tokens[-1] if hyp.tokens else BOS
             new_states, new_htilde, logp, traces = sess.step(hyp.states, hyp.htilde, last)
-            logp = logp.copy()
-            logp[PAD] = -np.inf
+            logp[PAD] = -np.inf   # step returns a fresh array
             logp[BOS] = -np.inf
             top = np.argsort(logp)[::-1][:beam]
-            for tok in top:
-                candidates.append((hyp.logprob + float(logp[tok]), int(tok),
-                                   hyp, new_states, new_htilde, traces))
+            candidates.extend((lp, tok, hyp, new_states, new_htilde, traces) for lp, tok in
+                              zip((hyp.logprob + logp[top]).tolist(), top.tolist()))
         candidates.sort(key=lambda c: c[0], reverse=True)
         live = []
         for lp, tok, parent, st, ht, traces in candidates[:beam]:
@@ -86,13 +83,7 @@ def translate_file(params, config, src_paths, out_path, vocabs, beam=8,
     """One output line per input line; optional alignment TSV
     (sentence, target_pos, encoder_id, source_pos, weight)."""
     src_vocabs, tgt_vocab = vocabs
-    lines = []
-    for p in src_paths:
-        try:
-            with open(p, encoding="utf-8") as f:
-                lines.append([ln.rstrip("\n") for ln in f])
-        except OSError as e:
-            raise CorpusIOError(f"cannot read {p}: {e}") from e
+    lines = [read_lines(p) for p in src_paths]
     if len(set(len(l) for l in lines)) != 1:
         raise AlignmentError("source files have differing line counts: "
                              + ", ".join(f"{p}={len(l)}" for p, l in zip(src_paths, lines)))
@@ -102,10 +93,13 @@ def translate_file(params, config, src_paths, out_path, vocabs, beam=8,
         out = open(out_path, "w", encoding="utf-8")
     except OSError as e:
         raise CorpusIOError(f"cannot write {out_path}: {e}") from e
-    if dump_attention:
-        tsv = open(dump_attention, "w", encoding="utf-8")
-        tsv.write("sentence\ttarget_pos\tencoder_id\tsource_pos\tweight\n")
     try:
+        if dump_attention:
+            try:
+                tsv = open(dump_attention, "w", encoding="utf-8")
+            except OSError as e:
+                raise CorpusIOError(f"cannot write {dump_attention}: {e}") from e
+            tsv.write("sentence\ttarget_pos\tencoder_id\tsource_pos\tweight\n")
         for i, row in enumerate(zip(*lines)):
             if any(not r.strip() for r in row):
                 out.write("\n")
@@ -119,7 +113,7 @@ def translate_file(params, config, src_paths, out_path, vocabs, beam=8,
             if tsv is not None:
                 for tpos, per_source in enumerate(traces):
                     for k, trace in enumerate(per_source):
-                        for s, w in zip(trace.window, trace.weights):
+                        for s, w in zip(trace.window[trace.valid], trace.weights[trace.valid]):
                             tsv.write(f"{i}\t{tpos}\t{k}\t{int(s)}\t{w:.6f}\n")
     finally:
         out.close()

@@ -257,12 +257,10 @@ def forward_loss(batch, params: ModelParams, config: ModelConfig,
     else:
         dec_states = [(h.copy(), c.copy()) for h, c in enc_finals[0]]
 
-    # per-example top sequences in original word order (attention only)
-    orig_tops = None
     if config.use_attention:
-        orig_tops = []
-        for k, (ids, mask, lens) in enumerate(sources):
-            orig_tops.append([enc_tops[k][b, lens[b] - 1::-1] for b in range(B)])
+        for _ids, _mask, lens in sources:
+            if lens.min() < 1:
+                raise ConfigError("attention over an empty source sentence")
 
     Tt = batch.tgt_in.shape[1]
     htilde_prev = np.zeros((B, d), dtype=dt)
@@ -280,14 +278,12 @@ def forward_loss(batch, params: ModelParams, config: ModelConfig,
         att_caches = None
         hcache = None
         if config.use_attention:
-            ctxs = [np.zeros((B, d), dtype=dt) for _ in sources]
-            att_caches = [[None] * B for _ in sources]
-            for b in range(B):
-                for k in range(len(sources)):
-                    ctx, _trace, acache = attn_mod.attend(
-                        h_top[b], orig_tops[k][b], params.attn[k], config.window)
-                    ctxs[k][b] = ctx
-                    att_caches[k][b] = acache
+            ctxs, att_caches = [], []
+            for k, (_ids, _mask, lens) in enumerate(sources):
+                ctx, _trace, acache = attn_mod.local_p(
+                    h_top, enc_tops[k], lens, params.attn[k], config.window)
+                ctxs.append(ctx)
+                att_caches.append(acache)
             htilde, hcache = attn_mod.attentional_hidden(h_top, ctxs, params.out_proj)
             sm_in = htilde * hmask if hmask is not None else htilde
             htilde_prev = htilde
@@ -347,14 +343,9 @@ def backward(tape, params: ModelParams):
             dhtilde = (dsm_in * hmask if hmask is not None else dsm_in) + dhtilde_feed
             dh_top, dctxs = attn_mod.attentional_hidden_backward(
                 dhtilde, st["hcache"], params.out_proj)
-            dh_top = dh_top.copy()
-            for b in range(B):
-                for k in range(len(sources)):
-                    dh_b, win, dhs = attn_mod.attend_backward(
-                        dctxs[k][b], st["att"][k][b], params.attn[k])
-                    dh_top[b] += dh_b
-                    lens = sources[k][2]
-                    dH_top[k][b, lens[b] - 1 - win] += dhs
+            for k, acache in enumerate(st["att"]):
+                dh_top = dh_top + attn_mod.local_p_backward(
+                    dctxs[k], acache, params.attn[k], dH_top[k])
         else:
             dh_top = dsm_in
 
@@ -398,11 +389,14 @@ class DecodeSession:
         self.params = params
         self.config = config
         srcs = [src1_ids] + ([src2_ids] if src2_ids is not None else [])
-        finals, self.tops = [], []
+        # each source as a batch of one for attn_mod.local_p: top states in
+        # encoder order [1, S, d] and the length [1]
+        finals, self.tops, self.lens = [], [], []
         for k, ids in enumerate(srcs):
             final, top_seq = rec_mod.encode(ids, params.src_embeds[k], params.enc_layers[k])
             finals.append(final)
-            self.tops.append(top_seq)
+            self.tops.append(top_seq[None, ::-1])
+            self.lens.append(np.array([len(ids)]))
         if config.n_sources == 2:
             self.init_states, _ = comb_mod.combine_stacks(
                 finals[0], finals[1], config.combiner_method, params.combiners)
@@ -416,19 +410,20 @@ class DecodeSession:
         return [(h.copy(), c.copy()) for h, c in self.init_states], htilde
 
     def step(self, states, htilde_prev, token_id):
-        """One teacher-free decoder step.  Returns
-        (new_states, htilde [1,d], log_probs [V], traces per source)."""
+        """One teacher-free decoder step.  Returns (new_states, htilde [1,d],
+        log_probs [V], traces per source); each trace is local_p's for a
+        batch of one."""
         p, cfg = self.params, self.config
-        emb = p.tgt_embed.value[np.array([token_id])]
+        emb = p.tgt_embed.value[token_id:token_id + 1]
         x = np.concatenate([emb, htilde_prev], axis=1) if cfg.use_attention else emb
         states, _ = rec_mod.stack_step(x, states, p.dec_layers)
         h_top = states[-1][0]
         traces = []
         if cfg.use_attention:
             ctxs = []
-            for k, top_seq in enumerate(self.tops):
-                ctx, trace, _ = attn_mod.attend(h_top[0], top_seq, p.attn[k], cfg.window)
-                ctxs.append(ctx.reshape(1, -1))
+            for k, tops in enumerate(self.tops):
+                ctx, trace, _ = attn_mod.local_p(h_top, tops, self.lens[k], p.attn[k], cfg.window)
+                ctxs.append(ctx)
                 traces.append(trace)
             htilde, _ = attn_mod.attentional_hidden(h_top, ctxs, p.out_proj)
             sm_in = htilde
@@ -469,28 +464,36 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParams, vocab_meta=N
 
 
 def load_checkpoint(path):
-    """Returns (config, params, vocab_meta); round-trip is bit-exact."""
+    """Returns (config, params, vocab_meta); round-trip is bit-exact.
+
+    Each parameter is read straight into its array.  A file that ends early
+    or whose header does not describe its parameters is refused."""
     try:
         with open(path, "rb") as f:
             magic = f.read(len(CKPT_MAGIC))
             if magic != CKPT_MAGIC:
                 raise CompatibilityError(f"{path}: not an msnmt checkpoint")
             hlen = int.from_bytes(f.read(8), "little")
-            header = json.loads(f.read(hlen).decode("utf-8"))
-            body = f.read()
+            try:
+                header = json.loads(f.read(hlen).decode("utf-8"))
+                config = ModelConfig.from_dict(header["config"])
+                params = ModelParams(config)
+                saved = {m["name"]: m for m in header["params"]}
+                if set(saved) != set(params.registry):
+                    raise CompatibilityError(f"{path}: parameter names do not match its config")
+                body = len(CKPT_MAGIC) + 8 + hlen
+                for name, p in params.registry.items():
+                    m = saved[name]
+                    if (tuple(m["shape"]) != p.value.shape or m["dtype"] != config.dtype
+                            or m["nbytes"] != p.value.nbytes):
+                        raise CompatibilityError(
+                            f"{path}: {name} is {m['dtype']} {m['shape']}, expected "
+                            f"{p.value.dtype} {list(p.value.shape)}")
+                    f.seek(body + m["offset"])
+                    if f.readinto(memoryview(p.value).cast("B")) != p.value.nbytes:
+                        raise CompatibilityError(f"{path}: truncated at parameter {name}")
+            except (ConfigError, ValueError, KeyError, TypeError) as e:
+                raise CompatibilityError(f"{path}: malformed checkpoint header: {e}") from e
     except OSError as e:
         raise CorpusIOError(f"cannot read checkpoint {path}: {e}") from e
-    config = ModelConfig.from_dict(header["config"])
-    params = ModelParams(config)
-    saved = {m["name"]: m for m in header["params"]}
-    if set(saved) != set(params.registry):
-        raise CompatibilityError(f"{path}: parameter names do not match its config")
-    for name, p in params.registry.items():
-        m = saved[name]
-        if tuple(m["shape"]) != p.value.shape:
-            raise CompatibilityError(
-                f"{path}: {name} shape {m['shape']} vs expected {p.value.shape}")
-        arr = np.frombuffer(body[m["offset"]:m["offset"] + m["nbytes"]],
-                            dtype=m["dtype"]).reshape(p.value.shape)
-        p.value[...] = arr
     return config, params, header.get("vocab", {})

@@ -24,7 +24,10 @@ class Parameter:
 
     def __post_init__(self):
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
+            # np.zeros can take memory the system has already zeroed, where
+            # zeros_like writes every byte; a model loaded only to translate
+            # never touches its gradients
+            self.grad = np.zeros(self.value.shape, dtype=self.value.dtype)
         if self.grad.shape != self.value.shape:
             raise DimensionError(
                 f"{self.name}: grad shape {self.grad.shape} != value shape {self.value.shape}"
@@ -136,8 +139,8 @@ def softmax_backward(dout, out):
 
 
 def log_softmax(v):
-    shifted = v - np.max(v, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    shifted = v - v.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def finite_difference_grad(loss_fn, params, epsilon=1e-5):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blas
 from . import data as data_mod
 from . import model as model_mod
 from .errors import ConfigError, NumericError
@@ -145,51 +146,53 @@ def train(model_cfg: model_mod.ModelConfig, train_cfg: TrainConfig,
 
     best_ppl = math.inf
     best_epoch = None
-    for epoch in range(start_epoch, train_cfg.epochs + 1):
-        t0 = time.monotonic()
-        lr = lr_at(epoch, train_cfg)
-        shuffle_rng = rng_stream(train_cfg.seed, f"shuffle-epoch{epoch}")
-        drop_rng = rng_stream(train_cfg.seed, f"dropout-epoch{epoch}")
-        batches = data_mod.batchify(train_tuples, train_cfg.batch_size, shuffle_rng)
+    # the products are too small for a second BLAS thread to pay (blas.py)
+    with blas.one_thread():
+        for epoch in range(start_epoch, train_cfg.epochs + 1):
+            t0 = time.monotonic()
+            lr = lr_at(epoch, train_cfg)
+            shuffle_rng = rng_stream(train_cfg.seed, f"shuffle-epoch{epoch}")
+            drop_rng = rng_stream(train_cfg.seed, f"dropout-epoch{epoch}")
+            batches = data_mod.batchify(train_tuples, train_cfg.batch_size, shuffle_rng)
 
-        total_nll, total_tok = 0.0, 0
-        n_clipped = 0
-        norm_sum = 0.0
-        for batch in batches:
-            nll, ntok, tape = model_mod.forward_loss(
-                batch, params, model_cfg, train_mode=True, rng=drop_rng)
-            model_mod.backward(tape, params)
-            for p in params.all():
-                p.grad /= batch.size
-            scale, gnorm = clip_rescale(params, train_cfg.clip_threshold)
-            if scale < 1.0:
-                n_clipped += 1
-            norm_sum += gnorm
-            sgd_step(params, lr)
-            total_nll += nll
-            total_tok += ntok
+            total_nll, total_tok = 0.0, 0
+            n_clipped = 0
+            norm_sum = 0.0
+            for batch in batches:
+                nll, ntok, tape = model_mod.forward_loss(
+                    batch, params, model_cfg, train_mode=True, rng=drop_rng)
+                model_mod.backward(tape, params)
+                for p in params.all():
+                    p.grad /= batch.size
+                scale, gnorm = clip_rescale(params, train_cfg.clip_threshold)
+                if scale < 1.0:
+                    n_clipped += 1
+                norm_sum += gnorm
+                sgd_step(params, lr)
+                total_nll += nll
+                total_tok += ntok
 
-        dev_nll, dev_tok = _eval_nll(dev_batches, params, model_cfg)
-        dev_ppl = model_mod.perplexity(dev_nll, dev_tok)
-        model_mod.save_checkpoint(checkpoint_path(out_dir, epoch), model_cfg,
-                                  params, vocab_meta)
-        if dev_ppl < best_ppl:
-            best_ppl = dev_ppl
-            best_epoch = epoch
-            with open(os.path.join(out_dir, "best"), "w") as f:
-                f.write(f"checkpoint-epoch{epoch}\n")
+            dev_nll, dev_tok = _eval_nll(dev_batches, params, model_cfg)
+            dev_ppl = model_mod.perplexity(dev_nll, dev_tok)
+            model_mod.save_checkpoint(checkpoint_path(out_dir, epoch), model_cfg,
+                                      params, vocab_meta)
+            if dev_ppl < best_ppl:
+                best_ppl = dev_ppl
+                best_epoch = epoch
+                with open(os.path.join(out_dir, "best"), "w") as f:
+                    f.write(f"checkpoint-epoch{epoch}\n")
 
-        rec = EpochRecord(epoch=epoch, lr=lr, train_nll=total_nll / max(1, total_tok),
-                          dev_ppl=dev_ppl,
-                          grad_scale_rate=n_clipped / max(1, len(batches)),
-                          grad_norm_mean=norm_sum / max(1, len(batches)),
-                          seconds=time.monotonic() - t0)
-        report.epochs.append(rec)
-        write_report(report_path, report)
-        if log:
-            log(f"epoch {epoch}: lr={lr:g} train_nll={rec.train_nll:.4f} "
-                f"dev_ppl={dev_ppl:.3f} clip_rate={rec.grad_scale_rate:.2f} "
-                f"({rec.seconds:.1f}s)")
+            rec = EpochRecord(epoch=epoch, lr=lr, train_nll=total_nll / max(1, total_tok),
+                              dev_ppl=dev_ppl,
+                              grad_scale_rate=n_clipped / max(1, len(batches)),
+                              grad_norm_mean=norm_sum / max(1, len(batches)),
+                              seconds=time.monotonic() - t0)
+            report.epochs.append(rec)
+            write_report(report_path, report)
+            if log:
+                log(f"epoch {epoch}: lr={lr:g} train_nll={rec.train_nll:.4f} "
+                    f"dev_ppl={dev_ppl:.3f} clip_rate={rec.grad_scale_rate:.2f} "
+                    f"({rec.seconds:.1f}s)")
     return report, params
 
 

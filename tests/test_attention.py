@@ -3,8 +3,8 @@ import pytest
 
 from msnmt.attention import (AttentionParams, attend, attend_backward,
                              attentional_hidden, attentional_hidden_backward,
-                             context_vector, multi_attend, predict_position,
-                             window_weights)
+                             context_vector, local_p, local_p_backward,
+                             multi_attend, predict_position, window_weights)
 from msnmt.errors import ConfigError, DimensionError
 from msnmt.numerics import Parameter, finite_difference_grad, sigmoid
 
@@ -254,3 +254,77 @@ class TestRandomizedInvariants:
             assert np.all(trace.weights >= 0.0)
             assert np.all(trace.weights <= trace.align + 1e-15)
             assert trace.window[0] >= 0 and trace.window[-1] <= S - 1
+
+
+class TestLocalPBatched:
+    """The batched routine over B examples equals a loop of its B=1 case."""
+
+    @pytest.mark.parametrize("D", [1, 3, 10])
+    def test_matches_per_example_loop(self, D):
+        rng = np.random.default_rng(17 + D)
+        d, B = 5, 16
+        lens = rng.integers(1, 41, size=B)
+        lens[:2] = (1, 40)
+        tops = rng.uniform(-1, 1, (B, int(lens.max()), d))   # encoder order
+        h = rng.uniform(-1, 1, (B, d))
+        p = make_params(d, rng)
+        p.v_p.value *= 10.0   # saturate the sigmoid: p_t lands near both edges
+        dctx = rng.uniform(-1, 1, (B, d))
+
+        ctx, trace, cache = local_p(h, tops, lens, p, D)
+        dtops = np.zeros_like(tops)
+        dh = local_p_backward(dctx, cache, p, dtops)
+        grads = {q.name: q.grad.copy() for q in p.all()}
+
+        # the windows clamp at both sentence edges, and some rows are padded
+        center = np.floor(trace.p_t).astype(int)
+        assert np.any((center - D < 0) & (lens > 2 * D + 1))
+        assert np.any((center + D > lens - 1) & (lens > 2 * D + 1))
+        assert not trace.valid.all()
+
+        for q in p.all():
+            q.zero_grad()
+        for b in range(B):
+            S = int(lens[b])
+            c1, t1, k1 = local_p(h[b:b + 1], tops[b:b + 1, :S], lens[b:b + 1], p, D)
+            dt1 = np.zeros((1, S, d))
+            dh1 = local_p_backward(dctx[b:b + 1], k1, p, dt1)
+            real = trace.valid[b]
+            assert np.allclose(ctx[b], c1[0], rtol=0, atol=1e-12)
+            assert np.array_equal(trace.window[b, real], t1.window[0, t1.valid[0]])
+            assert np.allclose(trace.weights[b, real], t1.weights[0, t1.valid[0]],
+                               rtol=0, atol=1e-12)
+            # padded slots repeat the last real position and weigh nothing
+            assert np.all(trace.window[b, ~real] == trace.window[b, real][-1])
+            assert np.all(trace.weights[b, ~real] == 0.0)
+            assert np.allclose(dh[b], dh1[0], rtol=0, atol=1e-12)
+            assert np.allclose(dtops[b, :S], dt1[0], rtol=0, atol=1e-12)
+            assert np.all(dtops[b, S:] == 0.0)
+            # and attend, the one-example form in original word order, agrees
+            c2, t2, _ = attend(h[b], tops[b, S - 1::-1], p, D)
+            assert np.allclose(c2, c1[0], rtol=0, atol=1e-12)
+            assert np.array_equal(t2.window, t1.window[0, t1.valid[0]])
+        for q in p.all():
+            assert np.allclose(grads[q.name], q.grad, rtol=0, atol=1e-12), q.name
+
+    def test_backward_vs_fd(self):
+        rng = np.random.default_rng(40)
+        d, D = 3, 2
+        lens = np.array([7, 2, 5])
+        p = make_params(d, rng)
+        h = Parameter("h", rng.uniform(-1, 1, (3, d)))
+        tops = Parameter("tops", rng.uniform(-1, 1, (3, 7, d)))
+        w = rng.uniform(-1, 1, (3, d))
+
+        def loss():
+            ctx, _, _ = local_p(h.value, tops.value, lens, p, D)
+            return float(np.sum(ctx * w))
+
+        _, _, cache = local_p(h.value, tops.value, lens, p, D)
+        dtops = np.zeros_like(tops.value)
+        dh = local_p_backward(w, cache, p, dtops)
+        fd = finite_difference_grad(loss, [h, tops] + p.all())
+        assert np.allclose(dh, fd["h"], rtol=1e-4, atol=1e-8)
+        assert np.allclose(dtops, fd["tops"], rtol=1e-4, atol=1e-8)
+        for q in p.all():
+            assert np.allclose(q.grad, fd[q.name], rtol=1e-4, atol=1e-8), q.name

@@ -221,3 +221,24 @@ class TestScoreErrors:
         rc = run_cli(["score", "--hyp", str(tmp_path / "nope"),
                       "--ref", str(ref)])
         assert rc == 2
+
+
+class TestTranslateErrors:
+    def test_truncated_checkpoint_exit_code(self, trained, capsys):
+        root, data, out = trained
+        raw = (out / "checkpoint-epoch4").read_bytes()
+        cut = root / "truncated"
+        cut.write_bytes(raw[:len(raw) - 100])
+        rc = run_cli(["translate", "--checkpoint", str(cut),
+                      "--src1", str(data / "dev-src1.txt"), "--out", str(root / "t.txt")])
+        assert rc == 4
+        assert "truncated" in capsys.readouterr().err
+
+    def test_unwritable_dump_path_exit_code(self, trained, capsys):
+        root, data, out = trained
+        hyp = root / "d.txt"
+        rc = run_cli(["translate", "--checkpoint", str(out / "checkpoint-epoch4"),
+                      "--src1", str(data / "dev-src1.txt"), "--out", str(hyp),
+                      "--dump-attention", str(root / "no-such-dir" / "align.tsv")])
+        assert rc == 2
+        assert "no-such-dir" in capsys.readouterr().err

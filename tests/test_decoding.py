@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,36 @@ class TestTranslateFile:
         with pytest.raises(AlignmentError):
             translate_file(params, cfg, [str(s1), str(s2)],
                            str(tmp_path / "out"), ([v, v], v))
+
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "decode")
+
+
+def _tsv_rows(path):
+    with open(path, encoding="utf-8") as f:
+        header = f.readline()
+        return header, [(tuple(r[:4]), float(r[4]))
+                        for r in (line.rstrip("\n").split("\t") for line in f)]
+
+
+class TestDecodeFixture:
+    """A small trained multi-basic local-p checkpoint (hidden 8, window 2,
+    sources of 1-12 tokens and one blank line).  The expected hypotheses and
+    attention dumps were written by the per-example attention code this
+    batched routine replaced."""
+
+    @pytest.mark.parametrize("beam", [1, 4])
+    def test_outputs_match_recorded(self, tmp_path, beam):
+        config, params, meta = M.load_checkpoint(os.path.join(FIXTURE, "model.ckpt"))
+        vocabs = ([Vocabulary(t) for t in meta["src"]], Vocabulary(meta["tgt"]))
+        out, tsv = tmp_path / "hyp.txt", tmp_path / "align.tsv"
+        translate_file(params, config,
+                       [os.path.join(FIXTURE, "src1.txt"), os.path.join(FIXTURE, "src2.txt")],
+                       str(out), vocabs, beam=beam, dump_attention=str(tsv))
+        with open(os.path.join(FIXTURE, f"hyp.beam{beam}.txt"), encoding="utf-8") as f:
+            assert out.read_text(encoding="utf-8") == f.read()
+        want_header, want = _tsv_rows(os.path.join(FIXTURE, f"align.beam{beam}.tsv"))
+        got_header, got = _tsv_rows(str(tsv))
+        assert got_header == want_header
+        assert [k for k, _ in got] == [k for k, _ in want]
+        assert max(abs(a - b) for (_, a), (_, b) in zip(got, want)) <= 1e-6
