@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 validation, 2 I/O, 3 numeric, 4 compatibility.
 import argparse
 import os
 import sys
+import time
 
 from . import data as data_mod
 from . import decoding as dec_mod
@@ -239,11 +240,17 @@ def cmd_translate(args):
             f"checkpoint is {config.mode} ({config.n_sources} source(s)) but "
             f"{len(src_paths)} source file(s) were given")
     src_vocabs, tgt_vocab = _vocabs_from_meta(meta)
-    dec_mod.translate_file(params, config, src_paths, args.out,
-                           (src_vocabs, tgt_vocab), beam=args.beam,
-                           max_len=args.max_len,
-                           dump_attention=args.dump_attention,
-                           length_norm=not args.no_length_norm)
+    t0 = time.perf_counter()
+    stats = dec_mod.translate_file(params, config, src_paths, args.out,
+                                   (src_vocabs, tgt_vocab), beam=args.beam,
+                                   max_len=args.max_len,
+                                   dump_attention=args.dump_attention,
+                                   length_norm=not args.no_length_norm)
+    seconds = time.perf_counter() - t0
+    steps = stats["steps"]
+    log(f"translated {stats['sentences']} sentences in {seconds:.3f} s "
+        f"({stats['sentences'] / seconds:.1f} sent/s); {steps} decoder steps, "
+        f"{stats['rows'] / steps if steps else 0.0:.1f} rows per step")
     return 0
 
 

@@ -154,7 +154,9 @@ class Batch:
         return int(self.tgt_mask.sum())
 
 
-def _pad_ids(seqs, dtype=np.int64):
+def pad_ids(seqs, dtype=np.int64):
+    """Right-pad id lists with <pad>: returns (ids [B, T], mask [B, T] of
+    1.0 on real positions, lengths [B])."""
     B = len(seqs)
     T = max(len(s) for s in seqs)
     ids = np.full((B, T), PAD, dtype=dtype)
@@ -171,14 +173,14 @@ def make_batch(id_tuples):
     """id_tuples: list of (src1_ids, [src2_ids,] tgt_ids); sources reversed,
     targets unframed."""
     n_sides = len(id_tuples[0])
-    src1, m1, l1 = _pad_ids([t[0] for t in id_tuples])
+    src1, m1, l1 = pad_ids([t[0] for t in id_tuples])
     tgt = [t[-1] for t in id_tuples]
-    tin, _, _ = _pad_ids([[BOS] + list(s) for s in tgt])
-    tout, tmask, tlen = _pad_ids([list(s) + [EOS] for s in tgt])
+    tin, _, _ = pad_ids([[BOS] + list(s) for s in tgt])
+    tout, tmask, tlen = pad_ids([list(s) + [EOS] for s in tgt])
     batch = Batch(src1=src1, src1_mask=m1, src1_len=l1,
                   tgt_in=tin, tgt_out=tout, tgt_mask=tmask, tgt_len=tlen)
     if n_sides == 3:
-        src2, m2, l2 = _pad_ids([t[1] for t in id_tuples])
+        src2, m2, l2 = pad_ids([t[1] for t in id_tuples])
         batch.src2, batch.src2_mask, batch.src2_len = src2, m2, l2
     return batch
 

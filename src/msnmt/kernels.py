@@ -1,43 +1,18 @@
-"""Fused LSTM gate kernels.
+"""LSTM gate kernels.
 
 The matrix products that feed the gates go through BLAS (numpy); everything
-elementwise downstream of them is fused here, because allocating half a dozen
-temporaries per timestep dominates the runtime of small desk-scale models.
-
-Two implementations exist side by side:
-
-  * a numba ``@njit`` version (default when numba imports cleanly), and
-  * a pure-numpy fallback.
-
-Selection is controlled by the ``MSNMT_BACKEND`` environment variable:
-``auto`` (default), ``numba``, or ``numpy``.  Both backends compute exactly
-the same formulas; gradient checks pass under either.
+elementwise downstream of them is computed here, in numpy.
 
 Gate layout inside the preactivation matrix ``z`` of shape [B, 4d]:
 columns [0,d) input gate, [d,2d) forget gate, [2d,3d) output gate,
 [3d,4d) candidate (tanh) block.
 """
 
-import os
-
 import numpy as np
 
-_REQUESTED = os.environ.get("MSNMT_BACKEND", "auto").lower()
-if _REQUESTED not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"MSNMT_BACKEND must be auto|numba|numpy, got {_REQUESTED!r}")
 
-_HAVE_NUMBA = False
-if _REQUESTED in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _REQUESTED == "numba":
-            raise
-
-
-def _gates_forward_np(z, c_prev):
+def gates_forward(z, c_prev):
+    """Gate activations, new cell and hidden state: (gates, c, tanh(c), h)."""
     B, four_d = z.shape
     d = four_d // 4
     gates = np.empty_like(z)
@@ -53,7 +28,8 @@ def _gates_forward_np(z, c_prev):
     return gates, c, tc, h
 
 
-def _gates_backward_np(gates, c_prev, tc, dh, dc_in):
+def gates_backward(gates, c_prev, tc, dh, dc_in):
+    """Gradients w.r.t. the preactivations and the previous cell: (dz, dc_prev)."""
     B, four_d = gates.shape
     d = four_d // 4
     i = gates[:, :d]
@@ -68,72 +44,3 @@ def _gates_backward_np(gates, c_prev, tc, dh, dc_in):
     dz[:, 3 * d:] = dc * i * (1.0 - u * u)
     dc_prev = dc * f
     return dz, dc_prev
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _gates_forward_nb(z, c_prev):  # pragma: no cover - exercised via dispatch
-        B, four_d = z.shape
-        d = four_d // 4
-        gates = np.empty_like(z)
-        c = np.empty_like(c_prev)
-        tc = np.empty_like(c_prev)
-        h = np.empty_like(c_prev)
-        for b in range(B):
-            for j in range(d):
-                ig = 1.0 / (1.0 + np.exp(-z[b, j]))
-                fg = 1.0 / (1.0 + np.exp(-z[b, d + j]))
-                og = 1.0 / (1.0 + np.exp(-z[b, 2 * d + j]))
-                ug = np.tanh(z[b, 3 * d + j])
-                cc = fg * c_prev[b, j] + ig * ug
-                t = np.tanh(cc)
-                gates[b, j] = ig
-                gates[b, d + j] = fg
-                gates[b, 2 * d + j] = og
-                gates[b, 3 * d + j] = ug
-                c[b, j] = cc
-                tc[b, j] = t
-                h[b, j] = og * t
-        return gates, c, tc, h
-
-    @njit(cache=True)
-    def _gates_backward_nb(gates, c_prev, tc, dh, dc_in):  # pragma: no cover
-        B, four_d = gates.shape
-        d = four_d // 4
-        dz = np.empty_like(gates)
-        dc_prev = np.empty_like(c_prev)
-        for b in range(B):
-            for j in range(d):
-                ig = gates[b, j]
-                fg = gates[b, d + j]
-                og = gates[b, 2 * d + j]
-                ug = gates[b, 3 * d + j]
-                t = tc[b, j]
-                dc = dc_in[b, j] + dh[b, j] * og * (1.0 - t * t)
-                dz[b, j] = dc * ug * ig * (1.0 - ig)
-                dz[b, d + j] = dc * c_prev[b, j] * fg * (1.0 - fg)
-                dz[b, 2 * d + j] = dh[b, j] * t * og * (1.0 - og)
-                dz[b, 3 * d + j] = dc * ig * (1.0 - ug * ug)
-                dc_prev[b, j] = dc * fg
-        return dz, dc_prev
-
-
-if _HAVE_NUMBA and _REQUESTED in ("auto", "numba"):
-    BACKEND = "numba"
-    # Measured split: the forward pass is dominated by exp/tanh, where
-    # numpy's vectorized transcendentals beat a scalar jit loop at every
-    # size benchmarked; the backward pass is plain arithmetic, where the
-    # fused loop wins by avoiding ~8 temporaries.  See
-    # benchmarks/bench_kernels.py.
-    gates_forward = _gates_forward_np
-    gates_backward = _gates_backward_nb
-else:
-    BACKEND = "numpy"
-    gates_forward = _gates_forward_np
-    gates_backward = _gates_backward_np
-
-
-def backend():
-    """Name of the active kernel backend ('numba' or 'numpy')."""
-    return BACKEND

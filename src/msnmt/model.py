@@ -16,6 +16,7 @@ import numpy as np
 from . import attention as attn_mod
 from . import combiner as comb_mod
 from . import recurrent as rec_mod
+from .data import pad_ids
 from .errors import (CompatibilityError, ConfigError, CorpusIOError,
                      DimensionError, NumericError, VocabularyError)
 from .numerics import Parameter, log_softmax
@@ -217,6 +218,45 @@ def _check_ids(ids, vocab_size, what):
         raise VocabularyError(f"{what}: token id outside vocabulary of size {vocab_size}")
 
 
+def decoder_step(params: ModelParams, config: ModelConfig, tokens, states, htilde_prev,
+                 sources, masks=None):
+    """One decoder step for a batch of rows, shared by training and decoding.
+
+    tokens [B]: the previous target ids.  states: the decoder's per-layer
+    (h, c).  htilde_prev [B, d]: the previous attentional hidden (feed input;
+    passed through unchanged without attention).  sources: per source, its
+    top encoder states in encoder order [B, T, d] and lengths [B].  masks:
+    dropout masks from make_dropout_masks, or None.
+
+    Returns (states, htilde, log-probabilities [B, V], cache); the cache holds
+    what backward needs ("stack", "att", "hcache", "sm_in") and "traces", the
+    attention trace per source.
+    """
+    p = params
+    emb = p.tgt_embed.value[tokens]
+    x = np.concatenate([emb, htilde_prev], axis=1) if config.use_attention else emb
+    states, stack_cache = rec_mod.stack_step(x, states, p.dec_layers,
+                                             masks["dec"] if masks else None)
+    h_top = states[-1][0]
+    att_caches, hcache, traces = None, None, []
+    htilde = htilde_prev
+    if config.use_attention:
+        ctxs, att_caches = [], []
+        for k, (tops, lens) in enumerate(sources):
+            ctx, trace, acache = attn_mod.local_p(h_top, tops, lens, p.attn[k], config.window)
+            ctxs.append(ctx)
+            traces.append(trace)
+            att_caches.append(acache)
+        htilde, hcache = attn_mod.attentional_hidden(h_top, ctxs, p.out_proj)
+        sm_in = htilde * masks["htilde"] if masks else htilde
+    else:
+        sm_in = h_top
+    logp = log_softmax(sm_in @ p.softmax_w.value.T + p.softmax_b.value)
+    cache = {"stack": stack_cache, "att": att_caches, "hcache": hcache, "sm_in": sm_in,
+             "traces": traces}
+    return states, htilde, logp, cache
+
+
 def forward_loss(batch, params: ModelParams, config: ModelConfig,
                  train_mode=False, rng=None):
     """Teacher-forced negative log-likelihood over a batch.
@@ -266,41 +306,19 @@ def forward_loss(batch, params: ModelParams, config: ModelConfig,
     htilde_prev = np.zeros((B, d), dtype=dt)
     total_nll = 0.0
     step_tapes = []
-    dmask_dec = masks["dec"] if masks else None
-    hmask = masks["htilde"] if masks else None
+    att_sources = [(top, lens) for top, (_ids, _mask, lens) in zip(enc_tops, sources)]
 
     for t in range(Tt):
-        emb = params.tgt_embed.value[batch.tgt_in[:, t]]
-        x = np.concatenate([emb, htilde_prev], axis=1) if config.use_attention else emb
-        dec_states, step_cache = rec_mod.stack_step(x, dec_states, params.dec_layers, dmask_dec)
-        h_top = dec_states[-1][0]
-
-        att_caches = None
-        hcache = None
-        if config.use_attention:
-            ctxs, att_caches = [], []
-            for k, (_ids, _mask, lens) in enumerate(sources):
-                ctx, _trace, acache = attn_mod.local_p(
-                    h_top, enc_tops[k], lens, params.attn[k], config.window)
-                ctxs.append(ctx)
-                att_caches.append(acache)
-            htilde, hcache = attn_mod.attentional_hidden(h_top, ctxs, params.out_proj)
-            sm_in = htilde * hmask if hmask is not None else htilde
-            htilde_prev = htilde
-        else:
-            sm_in = h_top
-
-        logits = sm_in @ params.softmax_w.value.T + params.softmax_b.value
-        logp = log_softmax(logits)
+        dec_states, htilde_prev, logp, step = decoder_step(
+            params, config, batch.tgt_in[:, t], dec_states, htilde_prev, att_sources, masks)
         gold = batch.tgt_out[:, t]
         m = batch.tgt_mask[:, t]
         nll_t = -float((logp[np.arange(B), gold] * m).sum())
         if not np.isfinite(nll_t):
             raise NumericError(f"non-finite loss at decoder step {t}")
         total_nll += nll_t
-        probs = np.exp(logp)
-        step_tapes.append({"stack": step_cache, "att": att_caches, "hcache": hcache,
-                           "sm_in": sm_in, "probs": probs, "gold": gold, "mask": m})
+        step.update(probs=np.exp(logp), gold=gold, mask=m)
+        step_tapes.append(step)
 
     tape = {"batch": batch, "config": config, "masks": masks,
             "enc_caches": enc_caches, "comb_cache": comb_cache,
@@ -379,59 +397,50 @@ def backward(tape, params: ModelParams):
 
 
 class DecodeSession:
-    """Incremental single-example decoding over frozen parameters."""
+    """Incremental decoding of a batch of sentences over frozen parameters.
 
-    def __init__(self, params: ModelParams, config: ModelConfig, src1_ids, src2_ids=None):
-        if config.n_sources == 2 and src2_ids is None:
-            raise ConfigError("multi-source model needs two source sentences")
-        if config.n_sources == 1 and src2_ids is not None:
-            raise ConfigError("single-source model given two source sentences")
+    ``sentences`` is a list of tuples holding one reversed id list per source.
+    Each sentence owns ``width`` consecutive rows (its beam slots), so row r
+    decodes sentence r // width.  The sources are encoded as one padded
+    batch, and every row's top states and length are gathered once, here.
+    """
+
+    def __init__(self, params: ModelParams, config: ModelConfig, sentences, width=1):
+        for srcs in sentences:
+            if len(srcs) != config.n_sources:
+                raise ConfigError(f"{config.mode} model needs {config.n_sources} source "
+                                  f"sentence(s), got {len(srcs)}")
+            if min(map(len, srcs)) == 0:
+                raise ConfigError("decoding an empty source sentence")
         self.params = params
         self.config = config
-        srcs = [src1_ids] + ([src2_ids] if src2_ids is not None else [])
-        # each source as a batch of one for attn_mod.local_p: top states in
-        # encoder order [1, S, d] and the length [1]
-        finals, self.tops, self.lens = [], [], []
-        for k, ids in enumerate(srcs):
-            final, top_seq = rec_mod.encode(ids, params.src_embeds[k], params.enc_layers[k])
+        rows = np.repeat(np.arange(len(sentences)), width)
+        finals, self.sources = [], []
+        for k in range(config.n_sources):
+            ids, mask, lens = pad_ids([srcs[k] for srcs in sentences])
+            final, tops, _ = rec_mod.encode_batch(ids, mask.astype(config.np_dtype),
+                                                  params.src_embeds[k], params.enc_layers[k])
             finals.append(final)
-            self.tops.append(top_seq[None, ::-1])
-            self.lens.append(np.array([len(ids)]))
+            self.sources.append((tops[rows], lens[rows]))
         if config.n_sources == 2:
-            self.init_states, _ = comb_mod.combine_stacks(
+            init, _ = comb_mod.combine_stacks(
                 finals[0], finals[1], config.combiner_method, params.combiners)
         else:
-            self.init_states = [(h.copy(), c.copy()) for h, c in finals[0]]
-        self.src_lengths = [len(ids) for ids in srcs]
+            init = finals[0]
+        self.init_states = [(h[rows], c[rows]) for h, c in init]
 
     def initial(self):
-        d = self.config.hidden
-        htilde = np.zeros((1, d), dtype=self.config.np_dtype)
-        return [(h.copy(), c.copy()) for h, c in self.init_states], htilde
+        """Decoder states and a zero feed input for every row."""
+        h0 = self.init_states[0][0]
+        return list(self.init_states), np.zeros_like(h0)
 
-    def step(self, states, htilde_prev, token_id):
-        """One teacher-free decoder step.  Returns (new_states, htilde [1,d],
-        log_probs [V], traces per source); each trace is local_p's for a
-        batch of one."""
-        p, cfg = self.params, self.config
-        emb = p.tgt_embed.value[token_id:token_id + 1]
-        x = np.concatenate([emb, htilde_prev], axis=1) if cfg.use_attention else emb
-        states, _ = rec_mod.stack_step(x, states, p.dec_layers)
-        h_top = states[-1][0]
-        traces = []
-        if cfg.use_attention:
-            ctxs = []
-            for k, tops in enumerate(self.tops):
-                ctx, trace, _ = attn_mod.local_p(h_top, tops, self.lens[k], p.attn[k], cfg.window)
-                ctxs.append(ctx)
-                traces.append(trace)
-            htilde, _ = attn_mod.attentional_hidden(h_top, ctxs, p.out_proj)
-            sm_in = htilde
-        else:
-            htilde = htilde_prev
-            sm_in = h_top
-        logits = sm_in @ p.softmax_w.value.T + p.softmax_b.value
-        return states, htilde, log_softmax(logits)[0], traces
+    def step(self, states, htilde_prev, tokens):
+        """One teacher-free decoder step for every row.  tokens [rows]: the
+        previous target ids.  Returns (new_states, htilde [rows, d],
+        log_probs [rows, V], traces per source, each batched over the rows)."""
+        states, htilde, logp, cache = decoder_step(
+            self.params, self.config, tokens, states, htilde_prev, self.sources)
+        return states, htilde, logp, cache["traces"]
 
 
 CKPT_MAGIC = b"MSNMTCKPT1\n"

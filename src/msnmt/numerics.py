@@ -7,34 +7,39 @@ are the default; 32-bit is allowed for training speed but gradient checks
 require 64-bit.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
 
 
-@dataclass
 class Parameter:
-    """A named weight with a same-shaped gradient accumulator."""
+    """A named weight with a same-shaped gradient accumulator.
 
-    name: str
-    value: np.ndarray
-    grad: np.ndarray = field(default=None)
+    The gradient is allocated, as zeros, when it is first read: a model
+    loaded only to translate never touches its gradients.  From then on
+    ``grad`` is a plain attribute.
+    """
 
-    def __post_init__(self):
-        if self.grad is None:
-            # np.zeros can take memory the system has already zeroed, where
-            # zeros_like writes every byte; a model loaded only to translate
-            # never touches its gradients
-            self.grad = np.zeros(self.value.shape, dtype=self.value.dtype)
-        if self.grad.shape != self.value.shape:
-            raise DimensionError(
-                f"{self.name}: grad shape {self.grad.shape} != value shape {self.value.shape}"
-            )
+    def __init__(self, name, value, grad=None):
+        self.name = name
+        self.value = value
+        if grad is not None:
+            if grad.shape != value.shape:
+                raise DimensionError(
+                    f"{name}: grad shape {grad.shape} != value shape {value.shape}"
+                )
+            self.grad = grad
+
+    def __getattr__(self, attr):
+        # only called when normal lookup fails: here, before the first read of grad
+        if attr != "grad":
+            raise AttributeError(attr)
+        self.grad = np.zeros(self.value.shape, dtype=self.value.dtype)
+        return self.grad
 
     def zero_grad(self):
-        self.grad[...] = 0.0
+        if "grad" in vars(self):
+            self.grad[...] = 0.0
 
 
 def check_finite(arr, context):

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,22 @@ class TestTrainTranslateScoreSmoke:
                       "--ref", str(data / "dev-tgt.txt")])
         assert rc == 0
         assert capsys.readouterr().out.startswith("BLEU = ")
+
+    def test_translate_reports_throughput(self, trained, capsys):
+        root, data, out = trained
+        rc = run_cli(["translate", "--checkpoint", str(out / "checkpoint-epoch4"),
+                      "--src1", str(data / "dev-src1.txt"),
+                      "--out", str(root / "hyp-report.txt"), "--beam", "2"])
+        assert rc == 0
+        lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("translated")]
+        assert len(lines) == 1
+        m = re.fullmatch(r"translated 8 sentences in ([0-9.]+) s \(([0-9.]+) sent/s\); "
+                         r"([0-9]+) decoder steps, ([0-9.]+) rows per step", lines[0])
+        assert m, lines[0]
+        seconds, rate, steps, rows = map(float, m.groups())
+        assert seconds > 0 and rate > 0
+        # the 8 sentences are one chunk: 8 sentences x beam 2 rows every step
+        assert steps >= 1 and rows == 16.0
 
     def test_translate_source_count_mismatch(self, trained, capsys):
         root, data, out = trained

@@ -3,9 +3,10 @@ import os
 import numpy as np
 import pytest
 
+from msnmt import decoding
 from msnmt import model as M
 from msnmt.data import BOS, EOS, RESERVED, Vocabulary
-from msnmt.decoding import (Hypothesis, beam_decode, default_max_len,
+from msnmt.decoding import (beam_decode, default_max_len, normalised_score,
                             translate_file)
 from msnmt.errors import AlignmentError, ConfigError
 from msnmt.model import DecodeSession, ModelConfig, ModelParams, init_params
@@ -18,14 +19,14 @@ def small_cfg(mode="single", attention="local-p", vocab=12, hidden=8):
 
 
 def greedy(params, config, src1, src2=None, max_len=20):
-    sess = DecodeSession(params, config, src1, src2)
+    sess = DecodeSession(params, config, [(src1,) if src2 is None else (src1, src2)])
     states, htilde = sess.initial()
     tokens = []
     prev = BOS
     total = 0.0
     for _ in range(max_len):
-        states, htilde, logp, _ = sess.step(states, htilde, prev)
-        logp = logp.copy()
+        states, htilde, logp, _ = sess.step(states, htilde, np.array([prev]))
+        logp = logp[0].copy()
         logp[0] = -np.inf
         logp[BOS] = -np.inf
         prev = int(np.argmax(logp))
@@ -36,14 +37,41 @@ def greedy(params, config, src1, src2=None, max_len=20):
     return tokens, total
 
 
+def reference_beam_decode(params, config, srcs, beam, max_len=None, length_norm=True):
+    """The search one hypothesis at a time, each stepped as its own batch of
+    one: the reference the batched search must match.  A -inf candidate is
+    never a hypothesis, and a finished one uses up a place in the beam."""
+    sess = DecodeSession(params, config, [srcs])
+    if max_len is None:
+        max_len = default_max_len([len(s) for s in srcs])
+    states, htilde = sess.initial()
+    live, done = [([], 0.0, states, htilde)], []
+    for _ in range(max_len):
+        candidates = []
+        for toks, lp, st, ht in live:
+            st, ht, logp, _ = sess.step(st, ht, np.array([toks[-1] if toks else BOS]))
+            logp = logp[0]
+            logp[[0, BOS]] = -np.inf
+            for tok in np.argsort(logp)[::-1][:beam]:
+                if logp[tok] > -np.inf:
+                    candidates.append((toks + [int(tok)], lp + float(logp[tok]), st, ht))
+        candidates.sort(key=lambda c: c[1], reverse=True)
+        live = []
+        for c in candidates[:beam]:
+            (done if c[0][-1] == EOS else live).append(c)
+        if not live:
+            break
+    rank = (lambda h: normalised_score(h[1], len(h[0]))) if length_norm else (lambda h: h[1])
+    best = max(done or live, key=rank)
+    return [t for t in best[0] if t != EOS], rank(best)
+
+
 class TestHypothesis:
     def test_score_is_average(self):
-        h = Hypothesis(tokens=[5, 6, 7], logprob=-3.0, states=None, htilde=None)
-        assert h.score() == -1.0
+        assert normalised_score(-3.0, 3) == -1.0
 
     def test_empty_tokens_no_division_by_zero(self):
-        h = Hypothesis(tokens=[], logprob=0.0, states=None, htilde=None)
-        assert h.score() == 0.0
+        assert normalised_score(0.0, 0) == 0.0
 
     def test_default_max_len(self):
         assert default_max_len([4]) == 13
@@ -62,6 +90,26 @@ class TestBeamDecode:
         want, _ = greedy(params, cfg, src1, src2, max_len=default_max_len(lens))
         assert toks == want
 
+    @pytest.mark.parametrize("beam", [1, 4, 8])
+    @pytest.mark.parametrize("mode,attention", [("single", "none"), ("single", "local-p"),
+                                                ("multi-basic", "local-p"),
+                                                ("multi-childsum", "none")])
+    def test_matches_one_hypothesis_at_a_time(self, mode, attention, beam):
+        # 12 target types, and 5 (fewer than beam + 2 at beams 4 and 8)
+        for tgt_types, length_norm, max_len in ((12, True, None), (5, False, 7)):
+            cfg = ModelConfig(mode=mode, attention=attention, layers=2, hidden=8,
+                              src_vocab_sizes=(12,) * (1 if mode == "single" else 2),
+                              tgt_vocab_size=tgt_types, window=2)
+            params = init_params(cfg, 22, 0.6)
+            for src in ([4], [5, 6, 7], [8, 9, 4, 5, 6, 10]):
+                srcs = (src,) if mode == "single" else (src, src[::-1] + [11])
+                toks, score, _ = beam_decode(params, cfg, *srcs, beam=beam, max_len=max_len,
+                                             length_norm=length_norm)
+                want, want_score = reference_beam_decode(params, cfg, srcs, beam, max_len,
+                                                         length_norm)
+                assert toks == want
+                assert score == pytest.approx(want_score, abs=1e-9)
+
     def test_deterministic(self):
         cfg = small_cfg()
         params = init_params(cfg, 14, 0.4)
@@ -78,13 +126,13 @@ class TestBeamDecode:
             src = [4, 5, 6, 7]
             toks, score, _ = beam_decode(params, cfg, src, beam=4,
                                          length_norm=False)
-            sess = DecodeSession(params, cfg, src)
+            sess = DecodeSession(params, cfg, [(src,)])
             states, htilde = sess.initial()
             total = 0.0
             prev = BOS
             for t in toks + [EOS]:
-                states, htilde, logp, _ = sess.step(states, htilde, prev)
-                total += float(logp[t])
+                states, htilde, logp, _ = sess.step(states, htilde, np.array([prev]))
+                total += float(logp[0][t])
                 prev = t
             assert score == pytest.approx(total, abs=1e-9)
 
@@ -120,6 +168,11 @@ class TestBeamDecode:
         cfg = small_cfg()
         with pytest.raises(ConfigError):
             beam_decode(ModelParams(cfg), cfg, [4], beam=0)
+
+    def test_bad_max_len(self):
+        cfg = small_cfg()
+        with pytest.raises(ConfigError):
+            beam_decode(ModelParams(cfg), cfg, [4], max_len=0)
 
     def test_empty_source(self):
         cfg = small_cfg()
@@ -211,3 +264,64 @@ class TestDecodeFixture:
         assert got_header == want_header
         assert [k for k, _ in got] == [k for k, _ in want]
         assert max(abs(a - b) for (_, a), (_, b) in zip(got, want)) <= 1e-6
+
+
+class TestChunkedDecoding:
+    """translate_file decodes CHUNK sentences at a time; the result must be
+    the one it gives one sentence at a time.  Rows of a BLAS product can
+    differ in the last bits with the number of rows, so attention weights
+    are compared to 1e-6."""
+
+    # 20 non-blank lines of 1-12 tokens (so the default caps differ within a
+    # chunk and the second chunk holds 4), with blank lines in the middle
+    LENGTHS = [3, 1, 12, 5, 2, 9, 7, 4, 11, 6, 1, 8, 10, 3, 2, 12, 5, 4, 9, 6]
+
+    def _files(self, tmp_path, n_sources):
+        rng = np.random.default_rng(0)
+        paths = [tmp_path / f"src{k}.txt" for k in range(n_sources)]
+        rows = [[" ".join(f"w{int(t)}" for t in rng.integers(0, 8, size=n))
+                 for n in self.LENGTHS] for _ in paths]
+        rows[0].insert(4, "")            # blank in every source
+        for r in rows[1:]:
+            r.insert(4, "")
+        rows[-1].insert(17, "")          # blank in the last source only
+        for r in rows[:-1]:
+            r.insert(17, "w1 w2")
+        for p, r in zip(paths, rows):
+            p.write_text("\n".join(r) + "\n", encoding="utf-8")
+        return [str(p) for p in paths]
+
+    def _translate(self, tmp_path, tag, *args, **kwargs):
+        out, tsv = tmp_path / f"{tag}.txt", tmp_path / f"{tag}.tsv"
+        translate_file(*args, out_path=str(out), dump_attention=str(tsv), **kwargs)
+        return out.read_text(encoding="utf-8"), _tsv_rows(str(tsv))
+
+    @pytest.mark.parametrize("beam", [1, 4, 8])
+    @pytest.mark.parametrize("attention", ["none", "local-p"])
+    @pytest.mark.parametrize("mode", ["single", "multi-basic", "multi-childsum"])
+    def test_chunks_match_one_sentence_at_a_time(self, tmp_path, monkeypatch,
+                                                 mode, attention, beam):
+        n = 1 if mode == "single" else 2
+        src_vocab = Vocabulary(RESERVED + [f"w{k}" for k in range(8)])
+        paths = self._files(tmp_path, n)
+        # default caps with 12 target types; a fixed cap with 5 types, fewer
+        # than beam + 2 at beams 4 and 8, so some candidates are -inf
+        for tgt_types, max_len in ((12, None), (5, 6)):
+            tgt_vocab = Vocabulary(RESERVED + [f"t{k}" for k in range(tgt_types - 4)])
+            cfg = ModelConfig(mode=mode, attention=attention, layers=2, hidden=8,
+                              src_vocab_sizes=(len(src_vocab),) * n,
+                              tgt_vocab_size=tgt_types, window=2)
+            params = init_params(cfg, 21, 0.5)
+            args = (params, cfg, paths)
+            kw = dict(vocabs=([src_vocab] * n, tgt_vocab), beam=beam, max_len=max_len)
+            hyp, (header, rows) = self._translate(tmp_path, "chunked", *args, **kw)
+            monkeypatch.setattr(decoding, "CHUNK", 1)
+            want_hyp, (want_header, want_rows) = self._translate(tmp_path, "single", *args, **kw)
+            monkeypatch.undo()
+            lines = hyp.split("\n")
+            assert len(lines) == len(self.LENGTHS) + 3 and lines[4] == lines[17] == ""
+            assert hyp == want_hyp
+            assert header == want_header
+            assert [k for k, _ in rows] == [k for k, _ in want_rows]
+            assert all(abs(a - b) <= 1e-6 for (_, a), (_, b) in zip(rows, want_rows))
+            assert (rows == []) == (attention == "none")

@@ -13,7 +13,7 @@ def _random_inputs(seed, B=5, d=7):
 
 def test_numpy_forward_matches_scalar_math():
     z, c_prev = _random_inputs(0, B=2, d=3)
-    gates, c, tc, h = kernels._gates_forward_np(z, c_prev)
+    gates, c, tc, h = kernels.gates_forward(z, c_prev)
     d = 3
     for b in range(2):
         for j in range(d):
@@ -24,29 +24,3 @@ def test_numpy_forward_matches_scalar_math():
             cc = f * c_prev[b, j] + i * u
             assert c[b, j] == pytest.approx(cc, abs=1e-15)
             assert h[b, j] == pytest.approx(o * np.tanh(cc), abs=1e-15)
-
-
-@pytest.mark.skipif(kernels.backend() != "numba", reason="numba backend not active")
-def test_backends_agree_forward():
-    z, c_prev = _random_inputs(1)
-    ref = kernels._gates_forward_np(z, c_prev)
-    out = kernels._gates_forward_nb(z, c_prev)
-    for r, o in zip(ref, out):
-        assert np.allclose(r, o, atol=1e-14)
-
-
-@pytest.mark.skipif(kernels.backend() != "numba", reason="numba backend not active")
-def test_backends_agree_backward():
-    z, c_prev = _random_inputs(2)
-    gates, c, tc, h = kernels._gates_forward_np(z, c_prev)
-    rng = np.random.default_rng(3)
-    dh = rng.standard_normal(c.shape)
-    dc = rng.standard_normal(c.shape)
-    ref = kernels._gates_backward_np(gates, c_prev, tc, dh, dc)
-    out = kernels._gates_backward_nb(gates, c_prev, tc, dh, dc)
-    for r, o in zip(ref, out):
-        assert np.allclose(r, o, atol=1e-14)
-
-
-def test_env_flag_documented_values():
-    assert kernels.backend() in ("numba", "numpy")

@@ -148,13 +148,13 @@ class TestForwardLoss:
         params = M.init_params(cfg, 9, 0.4)
         src1, src2, tgt = [4, 5, 6], [7, 8], [5, 6, 7]
         nll, ntok, _ = M.forward_loss(make_batch([(src1, src2, tgt)]), params, cfg)
-        sess = M.DecodeSession(params, cfg, src1, src2)
+        sess = M.DecodeSession(params, cfg, [(src1, src2)])
         states, htilde = sess.initial()
         total = 0.0
         prev = data_mod.BOS
         for gold in tgt + [data_mod.EOS]:
-            states, htilde, logp, _ = sess.step(states, htilde, prev)
-            total += -logp[gold]
+            states, htilde, logp, _ = sess.step(states, htilde, np.array([prev]))
+            total += -logp[0][gold]
             prev = gold
         assert nll == pytest.approx(total, abs=1e-10)
 
@@ -258,6 +258,15 @@ class TestCheckpoint:
             got = params2.registry[name].value
             assert got.dtype == p.value.dtype
             assert np.array_equal(got, p.value)
+
+    def test_load_allocates_no_gradients(self, tmp_path):
+        # translation never reads a gradient, so loading should not pay for them
+        cfg = tiny_config("multi-basic", "local-p")
+        path = str(tmp_path / "ck")
+        M.save_checkpoint(path, cfg, M.init_params(cfg, 3, 0.1))
+        _, params, _ = M.load_checkpoint(path)
+        assert not any("grad" in vars(p) for p in params.all())
+        assert np.array_equal(params.softmax_w.grad, np.zeros_like(params.softmax_w.value))
 
     def test_save_is_deterministic(self, tmp_path):
         cfg = tiny_config()

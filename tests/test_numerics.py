@@ -190,6 +190,14 @@ class TestParameter:
         p.zero_grad()
         assert np.array_equal(p.grad, np.zeros((2, 2)))
 
+    def test_grad_allocated_on_first_read(self):
+        p = Parameter("p", np.ones((2, 3), dtype=np.float32))
+        p.zero_grad()
+        assert "grad" not in vars(p)
+        assert p.grad.dtype == np.float32 and np.array_equal(p.grad, np.zeros((2, 3)))
+        p.grad += 1.0
+        assert np.array_equal(p.grad, np.ones((2, 3)))
+
     def test_grad_shape_enforced(self):
         with pytest.raises(DimensionError):
             Parameter("p", np.ones(3), grad=np.zeros(4))
