@@ -14,7 +14,9 @@ single-example functions (``attend``, ``predict_position``,
 
 Positions are in ORIGINAL word order.  The encoder reads sources reversed,
 so ``local_p`` takes its top states in encoder order and reads original
-position s of example b at row ``lens[b] - 1 - s``.
+position s of example b at row ``lens[b] - 1 - s``.  A window is therefore a
+run of consecutive encoder rows, and ``local_p_backward`` adds its gradient
+into those rows with one buffered add over distinct indices.
 """
 
 from dataclasses import dataclass
@@ -121,9 +123,15 @@ def local_p_backward(dctx, cache, params: AttentionParams, dtops):
     dp = np.sum(dgauss * gauss * (trace.window - trace.p_t[:, None]) / (sigma * sigma), axis=1)
     dscores = align * (dalign - np.sum(align * dalign, axis=1, keepdims=True))
     du = (dscores[:, None, :] @ hs)[:, 0]
-    # padded slots have zero weight and zero dscores, so they add nothing
-    np.add.at(dtops, (rows, idx),
-              weights[:, :, None] * dctx[:, None, :] + dscores[:, :, None] * u[:, None, :])
+    # Row b's window covers the encoder rows idx[b, 0], idx[b, 0] - 1, ...
+    # Continued past its valid slots, that run gives every slot its own row
+    # (W <= T, and a negative index wraps to the end), so one buffered add is
+    # exact: a padded slot has zero weight and zero dscores and adds 0.
+    run = (rows, idx[:, :1] - np.arange(idx.shape[1]))
+    dhs = weights[:, :, None] * dctx[:, None, :]
+    dhs += dscores[:, :, None] * u[:, None, :]
+    dhs += dtops[run]
+    dtops[run] = dhs
     params.w_a.grad += h.T @ du
     dq = dp * lens * sg * (1.0 - sg)
     params.v_p.grad += dq @ m

@@ -95,7 +95,10 @@ class ModelConfig:
 
 
 class ModelParams:
-    """All learned weights, each registered exactly once by name."""
+    """All learned weights, each registered exactly once by name.  Every value
+    starts at zero."""
+
+    _alloc = staticmethod(np.zeros)
 
     def __init__(self, config: ModelConfig):
         self.config = config
@@ -150,7 +153,7 @@ class ModelParams:
     def _new(self, name, shape, dtype):
         if name in self.registry:
             raise ConfigError(f"duplicate parameter name {name}")
-        p = Parameter(name=name, value=np.zeros(shape, dtype=dtype))
+        p = Parameter(name=name, value=self._alloc(shape, dtype=dtype))
         self.registry[name] = p
         return p
 
@@ -169,6 +172,13 @@ class ModelParams:
 
     def n_scalars(self):
         return sum(p.value.size for p in self.all())
+
+
+class _Unfilled(ModelParams):
+    """ModelParams whose value buffers start uninitialised, for
+    load_checkpoint, which overwrites every one of them or refuses the file."""
+
+    _alloc = staticmethod(np.empty)
 
 
 _BIAS_SUFFIXES = (".b", "softmax.b")
@@ -475,8 +485,9 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParams, vocab_meta=N
 def load_checkpoint(path):
     """Returns (config, params, vocab_meta); round-trip is bit-exact.
 
-    Each parameter is read straight into its array.  A file that ends early
-    or whose header does not describe its parameters is refused."""
+    Each parameter is read straight into its array, which is allocated
+    without zero-filling.  A file that ends early or whose header does not
+    describe its parameters is refused."""
     try:
         with open(path, "rb") as f:
             magic = f.read(len(CKPT_MAGIC))
@@ -486,7 +497,7 @@ def load_checkpoint(path):
             try:
                 header = json.loads(f.read(hlen).decode("utf-8"))
                 config = ModelConfig.from_dict(header["config"])
-                params = ModelParams(config)
+                params = _Unfilled(config)
                 saved = {m["name"]: m for m in header["params"]}
                 if set(saved) != set(params.registry):
                     raise CompatibilityError(f"{path}: parameter names do not match its config")

@@ -1,9 +1,16 @@
 """LSTM cell, stacked step, and full-sequence encoder with manual BPTT.
 
-All state tensors are batched rows: h and c are [B, d].  The encoder consumes
-sources already reversed by the data module, right-padded; a carry mask
-freezes each example's state once its true length is exhausted, so the final
-stack is exact regardless of padding.
+All state tensors are batched rows: h and c are [B, d].  The decoder steps
+the whole stack one timestep at a time (``stack_step``).  The encoder, which
+sees its whole input up front, runs layer-major: one layer over every
+timestep, then the next, so each layer's input projection X W_x^T is a single
+product over all timesteps and only h W_h^T stays in the recurrence
+(Appleyard et al. 2016).  Its weight gradients still accumulate one step at a
+time in descending t, in the order of a step-by-step BPTT.
+
+The encoder consumes sources already reversed by the data module,
+right-padded; a carry mask freezes each example's state once its true length
+is exhausted, so the final stack is exact regardless of padding.
 """
 
 from dataclasses import dataclass
@@ -126,6 +133,12 @@ def encode_batch(ids, mask, embed: Parameter, layers, dropout_masks=None):
     Returns (final_states, top_h [B, T, d], cache).  top_h[b, t] is the top
     hidden after consuming reversed position t; padded slots carry the last
     real state.
+
+    The stack runs layer-major: one layer over every timestep, then the next.
+    A layer's input projection is one [B*T, d_in] x [d_in, 4d] product, so
+    only h @ W_h^T stays inside the recurrence.  Each layer reads the carried
+    states of the layer below; at a padded step they differ from that step's
+    fresh output, but the carry mask discards what a padded step computes.
     """
     B, T = ids.shape
     if T == 0:
@@ -133,22 +146,48 @@ def encode_batch(ids, mask, embed: Parameter, layers, dropout_masks=None):
     V = embed.value.shape[0]
     if ids.max() >= V or ids.min() < 0:
         raise VocabularyError(f"token id out of range [0,{V}) in encoder input")
-    d = layers[0].hidden_size
-    dtype = embed.value.dtype
-    E = embed.value[ids]  # [B, T, d]
-    states = zero_states(len(layers), B, d, dtype)
-    top_h = np.zeros((B, T, d), dtype=dtype)
-    step_caches = []
+    # per step: (m, 1 - m), m = 1.0 on rows whose source has not yet ended
+    keep = [(m, 1.0 - m) for m in (mask[:, t:t + 1] for t in range(T))]
+    x = embed.value[ids]  # [B, T, d]
+    final, tapes = [], []
+    for l, p in enumerate(layers):
+        if dropout_masks is not None:
+            m = dropout_masks[l]
+            if m.shape != (B, x.shape[2]):
+                raise DimensionError(
+                    f"encode_batch: dropout mask {m.shape} vs layer {l} input {(B, x.shape[2])}")
+            x = x * m[:, None, :]
+        state, hs, steps = _layer_forward(x, keep, p)
+        final.append(state)
+        tapes.append((x, steps))
+        x = hs
+    return final, hs, (ids, keep, tapes)
+
+
+def _layer_forward(x, keep, p: LstmParams):
+    """One layer over every timestep of x [B, T, d_in].  Returns the final
+    carried (h, c), the carried hidden states [B, T, d] (the next layer's
+    input, or top_h) and per step (h_prev, c_prev, gates, tanh(c))."""
+    B, T, d_in = x.shape
+    d = p.hidden_size
+    if d_in != p.input_size:
+        raise DimensionError(f"encode_batch: input width {d_in} vs w_x {p.w_x.value.shape}")
+    zx = (x.reshape(B * T, d_in) @ np.ascontiguousarray(p.w_x.value.T)).reshape(B, T, 4 * d)
+    w_hT = np.ascontiguousarray(p.w_h.value.T)
+    h = np.zeros((B, d), dtype=x.dtype)
+    c = np.zeros((B, d), dtype=x.dtype)
+    hs = np.empty((B, T, d), dtype=x.dtype)
+    steps = []
     for t in range(T):
-        new_states, cc = stack_step(E[:, t], states, layers, dropout_masks)
-        m = mask[:, t:t + 1]
-        carried = [(m * hn + (1.0 - m) * ho, m * cn + (1.0 - m) * co)
-                   for (hn, cn), (ho, co) in zip(new_states, states)]
-        top_h[:, t] = carried[-1][0]
-        step_caches.append(cc)
-        states = carried
-    cache = (ids, mask, step_caches)
-    return states, top_h, cache
+        z = zx[:, t] + h @ w_hT
+        z += p.b.value
+        gates, c_new, tc, h_new = kernels.gates_forward(z, c)
+        steps.append((h, c, gates, tc))
+        m, carry = keep[t]
+        h = m * h_new + carry * h
+        c = m * c_new + carry * c
+        hs[:, t] = h
+    return (h, c), hs, steps
 
 
 def encode_batch_backward(dfinal, dtop_h, cache, embed: Parameter, layers,
@@ -157,43 +196,45 @@ def encode_batch_backward(dfinal, dtop_h, cache, embed: Parameter, layers,
 
     dfinal: per-layer (dh, dc) w.r.t. the final carried states (may be None).
     dtop_h: [B, T, d] gradient w.r.t. top_h (may be None).
+
+    Layer-major like the forward pass, top layer first.  Each layer's weight
+    gradients still accumulate step by step in descending t; the gradient
+    into its input is one [B*T, 4d] x [4d, d_in] product.
     """
-    ids, mask, step_caches = cache
-    B, T = ids.shape
-    d = layers[0].hidden_size
-    dtype = embed.value.dtype
-    if dfinal is None:
-        dstates = [(np.zeros((B, d), dtype=dtype), np.zeros((B, d), dtype=dtype))
-                   for _ in layers]
-    else:
-        dstates = [(np.array(dh, copy=True), np.array(dc, copy=True)) for dh, dc in dfinal]
-    dE = np.zeros((B, T, d), dtype=dtype)
+    ids, keep, tapes = cache
+    B = ids.shape[0]
+    dhs = dtop_h
+    for l in range(len(layers) - 1, -1, -1):
+        if dfinal is None:
+            d = layers[l].hidden_size
+            dh = np.zeros((B, d), dtype=embed.value.dtype)
+            dc = np.zeros((B, d), dtype=embed.value.dtype)
+        else:
+            dh, dc = dfinal[l]
+        dhs = _layer_backward(dh, dc, dhs, *tapes[l], keep, layers[l])
+        if dropout_masks is not None:
+            dhs *= dropout_masks[l][:, None, :]
+    np.add.at(embed.grad, ids, dhs)
+
+
+def _layer_backward(dh, dc, dhs, x, steps, keep, p: LstmParams):
+    """BPTT through one layer.  dh, dc: gradient w.r.t. its final carried
+    state; dhs [B, T, d]: w.r.t. its carried hidden states (from the layer
+    above, or top_h's), or None.  Accumulates the layer's weight gradients
+    and returns the gradient w.r.t. its input x [B, T, d_in]."""
+    B, T, d_in = x.shape
+    dz_all = np.empty((B, T, 4 * p.hidden_size), dtype=x.dtype)
+    w_h = p.w_h.value
     for t in range(T - 1, -1, -1):
-        if dtop_h is not None:
-            dh_top, dc_top = dstates[-1]
-            dstates[-1] = (dh_top + dtop_h[:, t], dc_top)
-        m = mask[:, t:t + 1]
-        dnew = [(m * dh, m * dc) for dh, dc in dstates]
-        dcarry = [((1.0 - m) * dh, (1.0 - m) * dc) for dh, dc in dstates]
-        dx, dprev = stack_step_backward(dnew, step_caches[t], layers, dropout_masks)
-        dE[:, t] = dx
-        dstates = [(dch + dph, dcc + dpc)
-                   for (dch, dcc), (dph, dpc) in zip(dcarry, dprev)]
-    np.add.at(embed.grad, ids, dE)
-
-
-def encode(ids_reversed, embed: Parameter, layers):
-    """Single-sequence encoder used by decoding and unit tests.
-
-    Returns (final_states as list of (h[1,d], c[1,d]), top_seq [S, d]) where
-    top_seq is re-indexed into ORIGINAL word order (position 0 is the first
-    word of the unreversed sentence).
-    """
-    ids = np.asarray(ids_reversed, dtype=np.int64)
-    if ids.size == 0:
-        raise ConfigError("encode: empty sequence")
-    mask = np.ones((1, ids.size), dtype=embed.value.dtype)
-    final, top_h, _ = encode_batch(ids.reshape(1, -1), mask, embed, layers)
-    S = ids.size
-    top_seq = top_h[0, S - 1::-1]  # reversed time index t <-> original s = S-1-t
-    return final, top_seq
+        h_prev, c_prev, gates, tc = steps[t]
+        if dhs is not None:
+            dh = dh + dhs[:, t]
+        m, carry = keep[t]
+        dz, dc_prev = kernels.gates_backward(gates, c_prev, tc, m * dh, m * dc)
+        p.w_x.grad += dz.T @ x[:, t]
+        p.w_h.grad += dz.T @ h_prev
+        p.b.grad += dz.sum(axis=0)
+        dz_all[:, t] = dz
+        dh = carry * dh + dz @ w_h
+        dc = carry * dc + dc_prev
+    return (dz_all.reshape(B * T, -1) @ p.w_x.value).reshape(B, T, d_in)

@@ -328,3 +328,71 @@ class TestLocalPBatched:
         assert np.allclose(dtops, fd["tops"], rtol=1e-4, atol=1e-8)
         for q in p.all():
             assert np.allclose(q.grad, fd[q.name], rtol=1e-4, atol=1e-8), q.name
+
+
+def add_at_local_p_backward(dctx, cache, params, dtops):
+    """Reference: local_p_backward with the window-state gradient scattered
+    by np.add.at through the clamped window index."""
+    h, tops, lens, idx, m, sg, u, gauss, trace, D = cache
+    align, weights = trace.align, trace.weights
+    rows = np.arange(len(h))[:, None]
+    hs = tops[rows, idx]
+    dw = (hs @ dctx[:, :, None])[:, :, 0]
+    dalign = dw * gauss
+    dgauss = dw * align
+    sigma = D / 2.0
+    dp = np.sum(dgauss * gauss * (trace.window - trace.p_t[:, None]) / (sigma * sigma), axis=1)
+    dscores = align * (dalign - np.sum(align * dalign, axis=1, keepdims=True))
+    du = (dscores[:, None, :] @ hs)[:, 0]
+    np.add.at(dtops, (rows, idx),
+              weights[:, :, None] * dctx[:, None, :] + dscores[:, :, None] * u[:, None, :])
+    params.w_a.grad += h.T @ du
+    dq = dp * lens * sg * (1.0 - sg)
+    params.v_p.grad += dq @ m
+    dz = dq[:, None] * params.v_p.value * (1.0 - m * m)
+    params.w_p.grad += dz.T @ h
+    return du @ params.w_a.value.T + dz @ params.w_p.value
+
+
+class TestWindowScatter:
+    """local_p_backward adds each window into dtops with one buffered add over
+    distinct rows; it must equal the np.add.at scatter bit for bit."""
+
+    @pytest.mark.parametrize("D", [1, 3, 10])
+    @pytest.mark.parametrize("max_len", [1, 6, 40])
+    def test_equals_add_at_reference_bit_for_bit(self, D, max_len):
+        rng = np.random.default_rng(50 + D + max_len)
+        d, B = 4, 32
+        lens = rng.integers(1, max_len + 1, size=B)
+        lens[:2] = (1, max_len)
+        T = int(lens.max())
+        tops = rng.uniform(-1, 1, (B, T, d))
+        h = rng.uniform(-1, 1, (B, d))
+        p = make_params(d, rng)
+        p.v_p.value *= 10.0   # saturate the sigmoid: p_t lands near both edges
+        _, trace, cache = local_p(h, tops, lens, p, D)
+
+        center = np.floor(trace.p_t).astype(int)
+        if max_len > 2 * D + 1:
+            # windows clamp at both sentence edges
+            assert np.any((center - D < 0) & (lens > 2 * D + 1))
+            assert np.any((center + D > lens - 1) & (lens > 2 * D + 1))
+        else:
+            # 2D+1 is wider than every source: W is cut to T
+            assert trace.window.shape[1] == T < 2 * D + 1
+        assert np.any(lens == 1)
+
+        # accumulate twice into a nonzero buffer, as the decoder steps do
+        dtops = rng.uniform(-1, 1, (B, T, d))
+        ref_dtops = dtops.copy()
+        ref = make_params(d)
+        for q, r in zip(p.all(), ref.all()):
+            r.value[...] = q.value
+        for _ in range(2):
+            dctx = rng.uniform(-1, 1, (B, d))
+            dh = local_p_backward(dctx, cache, p, dtops)
+            ref_dh = add_at_local_p_backward(dctx, cache, ref, ref_dtops)
+            assert np.array_equal(dh, ref_dh)
+            assert np.array_equal(dtops, ref_dtops)
+        for q, r in zip(p.all(), ref.all()):
+            assert np.array_equal(q.grad, r.grad), q.name

@@ -268,6 +268,18 @@ class TestCheckpoint:
         assert not any("grad" in vars(p) for p in params.all())
         assert np.array_equal(params.softmax_w.grad, np.zeros_like(params.softmax_w.value))
 
+    def test_new_params_stay_zero_after_a_load(self, tmp_path):
+        # loading skips the zero fill; a ModelParams built by any other caller
+        # must still start at zero, also where freed loaded buffers are reused
+        cfg = tiny_config("multi-childsum", "local-p")
+        path = str(tmp_path / "ck")
+        M.save_checkpoint(path, cfg, M.init_params(cfg, 4, 0.5))
+        for _ in range(3):
+            _, loaded, _ = M.load_checkpoint(path)
+            del loaded
+            fresh = M.ModelParams(cfg)
+            assert all(not p.value.any() for p in fresh.all())
+
     def test_save_is_deterministic(self, tmp_path):
         cfg = tiny_config()
         params = M.init_params(cfg, 1, 0.1)

@@ -3,9 +3,8 @@ import pytest
 
 from msnmt.errors import ConfigError, DimensionError, VocabularyError
 from msnmt.numerics import Parameter, finite_difference_grad, sigmoid
-from msnmt.recurrent import (LstmParams, encode, encode_batch,
-                             encode_batch_backward, lstm_cell,
-                             lstm_cell_backward, stack_step,
+from msnmt.recurrent import (LstmParams, encode_batch, encode_batch_backward,
+                             lstm_cell, lstm_cell_backward, stack_step,
                              stack_step_backward, zero_states)
 
 
@@ -147,6 +146,15 @@ class TestStackStep:
             stack_step(np.zeros((2, 3)), zero_states(1, 2, 3), [p], [np.ones((2, 4))])
 
 
+def encode_row(ids_reversed, embed, layers):
+    """One sentence through a one-row encode_batch.  Returns the final states
+    and the top states [S, d] in original word order (position 0 is the first
+    word of the unreversed sentence)."""
+    ids = np.asarray(ids_reversed, dtype=np.int64).reshape(1, -1)
+    final, top_h, _ = encode_batch(ids, np.ones(ids.shape), embed, layers)
+    return final, top_h[0, ::-1]
+
+
 class TestEncode:
     def _embed(self, rng, V=9, d=3):
         return Parameter("emb", rng.uniform(-0.5, 0.5, (V, d)))
@@ -155,7 +163,7 @@ class TestEncode:
         rng = np.random.default_rng(16)
         embed = self._embed(rng)
         layers = [make_lstm(f"l{i}", 3, 3, rng) for i in range(2)]
-        final, top_seq = encode([5], embed, layers)
+        final, top_seq = encode_row([5], embed, layers)
         assert top_seq.shape == (1, 3)
         assert np.array_equal(top_seq[0], final[-1][0][0])
 
@@ -163,8 +171,8 @@ class TestEncode:
         rng = np.random.default_rng(17)
         embed = self._embed(rng)
         layers = [make_lstm("l0", 3, 3, rng)]
-        a = encode([4, 5, 6], embed, layers)
-        b = encode([4, 5, 6], embed, layers)
+        a = encode_row([4, 5, 6], embed, layers)
+        b = encode_row([4, 5, 6], embed, layers)
         assert np.array_equal(a[1], b[1])
         assert np.array_equal(a[0][0][0], b[0][0][0])
 
@@ -173,7 +181,7 @@ class TestEncode:
         embed = self._embed(rng)
         layers = [make_lstm(f"l{i}", 3, 3, rng) for i in range(2)]
         ids_rev = [4, 5, 6]  # original sentence reads 6 5 4
-        final, top_seq = encode(ids_rev, embed, layers)
+        final, top_seq = encode_row(ids_rev, embed, layers)
         states = zero_states(2, 1, 3)
         tops = []
         for t in ids_rev:
@@ -187,12 +195,12 @@ class TestEncode:
     def test_empty_sequence_rejected(self):
         rng = np.random.default_rng(19)
         with pytest.raises(ConfigError):
-            encode([], self._embed(rng), [make_lstm("l0", 3, 3, rng)])
+            encode_row([], self._embed(rng), [make_lstm("l0", 3, 3, rng)])
 
     def test_unknown_id_rejected(self):
         rng = np.random.default_rng(20)
         with pytest.raises(VocabularyError):
-            encode([99], self._embed(rng), [make_lstm("l0", 3, 3, rng)])
+            encode_row([99], self._embed(rng), [make_lstm("l0", 3, 3, rng)])
 
     def test_padding_invariance_of_final_state(self):
         rng = np.random.default_rng(22)
@@ -233,3 +241,93 @@ class TestEncodeBackward:
         fd = finite_difference_grad(loss, params)
         for p in params:
             assert np.allclose(p.grad, fd[p.name], rtol=1e-4, atol=1e-8), p.name
+
+
+def step_major_encode(ids, mask, embed, layers, dropout_masks=None):
+    """Reference encoder: the whole stack one timestep at a time through
+    stack_step, each step's input product made inside the step."""
+    B, T = ids.shape
+    E = embed.value[ids]
+    states = zero_states(len(layers), B, layers[0].hidden_size)
+    top_h = np.zeros((B, T, layers[0].hidden_size))
+    caches = []
+    for t in range(T):
+        new_states, cc = stack_step(E[:, t], states, layers, dropout_masks)
+        m = mask[:, t:t + 1]
+        states = [(m * hn + (1.0 - m) * ho, m * cn + (1.0 - m) * co)
+                  for (hn, cn), (ho, co) in zip(new_states, states)]
+        top_h[:, t] = states[-1][0]
+        caches.append(cc)
+    return states, top_h, caches
+
+
+def step_major_encode_backward(dfinal, dtop_h, ids, mask, caches, embed, layers,
+                               dropout_masks=None):
+    """Reference BPTT for step_major_encode, one timestep at a time."""
+    B, T = ids.shape
+    dstates = [(dh.copy(), dc.copy()) for dh, dc in dfinal]
+    dE = np.zeros((B, T, layers[0].input_size))
+    for t in range(T - 1, -1, -1):
+        dh_top, dc_top = dstates[-1]
+        dstates[-1] = (dh_top + dtop_h[:, t], dc_top)
+        m = mask[:, t:t + 1]
+        dnew = [(m * dh, m * dc) for dh, dc in dstates]
+        dx, dprev = stack_step_backward(dnew, caches[t], layers, dropout_masks)
+        dE[:, t] = dx
+        dstates = [((1.0 - m) * dh + dph, (1.0 - m) * dc + dpc)
+                   for (dh, dc), (dph, dpc) in zip(dstates, dprev)]
+    np.add.at(embed.grad, ids, dE)
+
+
+class TestLayerMajorEncoder:
+    """encode_batch runs one layer over every timestep with its input product
+    hoisted out of the recurrence; it must match the step-major reference.
+    The stacked products may round differently from per-step ones on some
+    BLAS builds, so the comparison is to 1e-12, not to the bit."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("with_final", [False, True])
+    def test_matches_step_major_reference(self, n_layers, dropout, with_final):
+        rng = np.random.default_rng(30 + 4 * n_layers + 2 * dropout + with_final)
+        d, V, B = 5, 11, 6
+        lens = np.array([1, 7, 3, 7, 2, 5])
+        T = int(lens.max())
+        ids = rng.integers(1, V, size=(B, T))
+        mask = (np.arange(T) < lens[:, None]).astype(float)
+        ids[mask == 0] = 0
+        embed = Parameter("emb", rng.uniform(-0.5, 0.5, (V, d)))
+        layers = [make_lstm(f"l{i}", d, d, rng) for i in range(n_layers)]
+        masks = None
+        if dropout:
+            masks = [(rng.random((B, d)) >= 0.3) / 0.7 for _ in range(n_layers)]
+        dfinal = [(rng.uniform(-1, 1, (B, d)), rng.uniform(-1, 1, (B, d)))
+                  for _ in range(n_layers)]
+        if not with_final:
+            dfinal = [(np.zeros((B, d)), np.zeros((B, d)))] * n_layers
+        dtop = rng.uniform(-1, 1, (B, T, d))
+        params = [embed] + [q for l in layers for q in l.all()]
+
+        final, top, cache = encode_batch(ids, mask, embed, layers, masks)
+        encode_batch_backward(dfinal if with_final else None, dtop, cache, embed,
+                              layers, masks)
+        grads = {q.name: q.grad.copy() for q in params}
+        for q in params:
+            q.zero_grad()
+        ref_final, ref_top, caches = step_major_encode(ids, mask, embed, layers, masks)
+        step_major_encode_backward(dfinal, dtop, ids, mask, caches, embed, layers, masks)
+
+        assert np.allclose(top, ref_top, rtol=0, atol=1e-12)
+        for (h, c), (rh, rc) in zip(final, ref_final):
+            assert np.allclose(h, rh, rtol=0, atol=1e-12)
+            assert np.allclose(c, rc, rtol=0, atol=1e-12)
+        for q in params:
+            assert np.abs(q.grad).max() > 0.0, q.name
+            assert np.allclose(grads[q.name], q.grad, rtol=0, atol=1e-12), q.name
+
+    def test_dropout_mask_shape_mismatch(self):
+        rng = np.random.default_rng(37)
+        embed = Parameter("emb", rng.uniform(-0.5, 0.5, (9, 3)))
+        with pytest.raises(DimensionError):
+            encode_batch(np.array([[4, 5]]), np.ones((1, 2)), embed,
+                         [make_lstm("l0", 3, 3, rng)], [np.ones((1, 4))])
