@@ -56,7 +56,7 @@ def run_gradcheck(mode, attention, layers=2, hidden=8, vocab=20, time_steps=5,
     config = model_mod.ModelConfig(
         mode=mode, attention=attention, layers=layers, hidden=hidden,
         src_vocab_sizes=(vocab,) * n_src, tgt_vocab_size=vocab,
-        window=window, dropout=0.0, dtype="float64")
+        window=window, dropout=0.0)
     params = model_mod.init_params(config, seed, init_range)
     batch = make_toy_batch(config, time_steps, seed)
 

@@ -20,7 +20,7 @@ def gates_forward(z, c_prev):
     B, four_d = z.shape
     d = four_d // 4
     zg = z.reshape(B, 4, d).transpose(1, 0, 2)   # gate-major view of z
-    gates = np.empty((4, B, d), dtype=z.dtype)
+    gates = np.empty((4, B, d))
     s = gates[:3]                                # 1 / (1 + exp(-z)), in place
     np.negative(zg[:3], out=s)
     np.exp(s, out=s)
@@ -40,7 +40,7 @@ def gates_backward(gates, c_prev, tc, dh, dc_in):
     i, f, o, u = gates
     B, d = tc.shape
     dc = dc_in + dh * o * (1.0 - tc * tc)
-    dzg = np.empty((4, B, d), dtype=gates.dtype)
+    dzg = np.empty((4, B, d))
     # dz_g = a * b * g * (1 - g) for (a, b, g) = (dc, u, i), (dc, c_prev, f), (dh, tc, o)
     ab = dzg[:3]
     np.multiply(dc, u, out=ab[0])

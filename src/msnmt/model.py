@@ -9,7 +9,7 @@ batch size happens in the trainer.
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +17,8 @@ from . import attention as attn_mod
 from . import combiner as comb_mod
 from . import recurrent as rec_mod
 from .data import pad_ids
-from .errors import (CompatibilityError, ConfigError, CorpusIOError,
-                     DimensionError, NumericError, VocabularyError)
+from .errors import (CompatibilityError, ConfigError, CorpusIOError, NumericError,
+                     VocabularyError)
 from .numerics import Parameter, log_softmax
 from .rngs import rng_stream
 
@@ -36,7 +36,6 @@ class ModelConfig:
     tgt_vocab_size: int = 8
     window: int = 10      # attention radius D
     dropout: float = 0.0
-    dtype: str = "float64"
 
     def __post_init__(self):
         self.src_vocab_sizes = tuple(self.src_vocab_sizes)
@@ -60,8 +59,6 @@ class ModelConfig:
         if len(self.src_vocab_sizes) != want:
             errs.append(f"mode {self.mode} needs {want} source vocabularies, "
                         f"got {len(self.src_vocab_sizes)}")
-        if self.dtype not in ("float64", "float32"):
-            errs.append(f"dtype must be float64 or float32, got {self.dtype!r}")
         if errs:
             raise ConfigError("; ".join(errs))
 
@@ -77,61 +74,80 @@ class ModelConfig:
     def combiner_method(self):
         return {"multi-basic": "basic", "multi-childsum": "childsum"}.get(self.mode)
 
-    @property
-    def np_dtype(self):
-        return np.float64 if self.dtype == "float64" else np.float32
-
     def to_dict(self):
         return {"mode": self.mode, "attention": self.attention, "layers": self.layers,
                 "hidden": self.hidden, "src_vocab_sizes": list(self.src_vocab_sizes),
                 "tgt_vocab_size": self.tgt_vocab_size, "window": self.window,
-                "dropout": self.dropout, "dtype": self.dtype}
+                "dropout": self.dropout, "dtype": "float64"}
 
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
+        dtype = d.pop("dtype", "float64")
+        if dtype != "float64":
+            raise ConfigError(f"dtype must be float64, got {dtype!r}")
         d["src_vocab_sizes"] = tuple(d["src_vocab_sizes"])
         return cls(**d)
 
 
 class ModelParams:
-    """All learned weights, each registered exactly once by name.  Every value
-    starts at zero."""
+    """All learned weights, each registered exactly once by name.
 
-    _alloc = staticmethod(np.zeros)
+    ``value`` and ``grad`` are two flat float64 vectors, zero at first.  Each
+    Parameter's value and grad are views of them, laid end to end in
+    registry order: the layout of a checkpoint body.  So one numpy call
+    scales, steps or zeroes every weight."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
         self.registry = {}
-        d = config.hidden
-        dt = config.np_dtype
+        sizes = []
+        self._build(lambda name, shape: sizes.append(math.prod(shape)))  # measure only
+        n = sum(sizes)
+        # value and grad share one allocation.  Allocated apart, freeing the
+        # pair took glibc past its trim threshold, so every later checkpoint
+        # load faulted all its pages back in (+1.3 ms for a 2.5 MB model)
+        both = np.zeros(2 * n)
+        self.value, self.grad = both[:n], both[n:]
+        self._end = 0
+        self._build(self._new)
 
-        self.src_embeds = [self._new(f"src{k}.embed", (v, d), dt)
+    def _build(self, new):
+        """Make every Parameter with ``new(name, shape)``, in registry order."""
+        config = self.config
+        d = config.hidden
+
+        def lstm(prefix, d_in):
+            return rec_mod.LstmParams(w_x=new(f"{prefix}.w_x", (4 * d, d_in)),
+                                      w_h=new(f"{prefix}.w_h", (4 * d, d)),
+                                      b=new(f"{prefix}.b", (4 * d,)))
+
+        self.src_embeds = [new(f"src{k}.embed", (v, d))
                            for k, v in enumerate(config.src_vocab_sizes)]
-        self.tgt_embed = self._new("tgt.embed", (config.tgt_vocab_size, d), dt)
+        self.tgt_embed = new("tgt.embed", (config.tgt_vocab_size, d))
 
         self.enc_layers = []
         for k in range(config.n_sources):
             layers = []
             for l in range(config.layers):
-                layers.append(self._lstm(f"enc{k}.l{l}", d, d, dt))
+                layers.append(lstm(f"enc{k}.l{l}", d))
             self.enc_layers.append(layers)
 
         dec_in0 = 2 * d if config.use_attention else d
         self.dec_layers = []
         for l in range(config.layers):
             d_in = dec_in0 if l == 0 else d
-            self.dec_layers.append(self._lstm(f"dec.l{l}", d_in, d, dt))
+            self.dec_layers.append(lstm(f"dec.l{l}", d_in))
 
         self.combiners = None
         if config.mode == "multi-basic":
             self.combiners = [comb_mod.BasicCombinerParams(
-                w_c=self._new(f"comb.l{l}.w_c", (d, 2 * d), dt))
+                w_c=new(f"comb.l{l}.w_c", (d, 2 * d)))
                 for l in range(config.layers)]
         elif config.mode == "multi-childsum":
             self.combiners = []
             for l in range(config.layers):
-                kw = {nm: self._new(f"comb.l{l}.{nm}", (d, d), dt)
+                kw = {nm: new(f"comb.l{l}.{nm}", (d, d))
                       for nm in ("w1_i", "w2_i", "w1_f", "w2_f",
                                  "w1_o", "w2_o", "w1_u", "w2_u")}
                 self.combiners.append(comb_mod.ChildSumCombinerParams(**kw))
@@ -140,48 +156,33 @@ class ModelParams:
         self.out_proj = None
         if config.use_attention:
             self.attn = [attn_mod.AttentionParams(
-                w_p=self._new(f"attn{k}.w_p", (d, d), dt),
-                v_p=self._new(f"attn{k}.v_p", (d,), dt),
-                w_a=self._new(f"attn{k}.w_a", (d, d), dt))
+                w_p=new(f"attn{k}.w_p", (d, d)),
+                v_p=new(f"attn{k}.v_p", (d,)),
+                w_a=new(f"attn{k}.w_a", (d, d)))
                 for k in range(config.n_sources)]
             width = (1 + config.n_sources) * d
-            self.out_proj = self._new("out_proj.w", (d, width), dt)
+            self.out_proj = new("out_proj.w", (d, width))
 
-        self.softmax_w = self._new("softmax.w", (config.tgt_vocab_size, d), dt)
-        self.softmax_b = self._new("softmax.b", (config.tgt_vocab_size,), dt)
+        self.softmax_w = new("softmax.w", (config.tgt_vocab_size, d))
+        self.softmax_b = new("softmax.b", (config.tgt_vocab_size,))
 
-    def _new(self, name, shape, dtype):
+    def _new(self, name, shape):
         if name in self.registry:
             raise ConfigError(f"duplicate parameter name {name}")
-        p = Parameter(name=name, value=self._alloc(shape, dtype=dtype))
+        start, self._end = self._end, self._end + math.prod(shape)
+        p = Parameter(name, self.value[start:self._end].reshape(shape),
+                      self.grad[start:self._end].reshape(shape))
         self.registry[name] = p
         return p
-
-    def _lstm(self, prefix, d_in, d, dtype):
-        return rec_mod.LstmParams(
-            w_x=self._new(f"{prefix}.w_x", (4 * d, d_in), dtype),
-            w_h=self._new(f"{prefix}.w_h", (4 * d, d), dtype),
-            b=self._new(f"{prefix}.b", (4 * d,), dtype))
 
     def all(self):
         return list(self.registry.values())
 
     def zero_grads(self):
-        for p in self.all():
-            p.zero_grad()
+        self.grad[...] = 0.0
 
     def n_scalars(self):
-        return sum(p.value.size for p in self.all())
-
-
-class _Unfilled(ModelParams):
-    """ModelParams whose value buffers start uninitialised, for
-    load_checkpoint, which overwrites every one of them or refuses the file."""
-
-    _alloc = staticmethod(np.empty)
-
-
-_BIAS_SUFFIXES = (".b", "softmax.b")
+        return self.value.size
 
 
 def init_params(config: ModelConfig, seed, init_range):
@@ -212,7 +213,7 @@ def make_dropout_masks(config: ModelConfig, params: ModelParams, batch_size, rng
     keep = 1.0 - rate
 
     def mk(width):
-        return (rng.random((batch_size, width)) >= rate).astype(config.np_dtype) / keep
+        return (rng.random((batch_size, width)) >= rate).astype(np.float64) / keep
 
     d = config.hidden
     masks = {
@@ -276,8 +277,6 @@ def forward_loss(batch, params: ModelParams, config: ModelConfig,
     """
     B = batch.size
     d = config.hidden
-    dt = config.np_dtype
-    L = config.layers
 
     sources = [(batch.src1, batch.src1_mask, batch.src1_len)]
     if config.n_sources == 2:
@@ -294,7 +293,7 @@ def forward_loss(batch, params: ModelParams, config: ModelConfig,
     for k, (ids, mask, _lens) in enumerate(sources):
         emask = masks["enc"][k] if masks else None
         final, top_h, cache = rec_mod.encode_batch(
-            ids.astype(np.int64), mask.astype(dt), params.src_embeds[k],
+            ids.astype(np.int64), mask.astype(np.float64), params.src_embeds[k],
             params.enc_layers[k], emask)
         enc_finals.append(final)
         enc_tops.append(top_h)
@@ -313,7 +312,7 @@ def forward_loss(batch, params: ModelParams, config: ModelConfig,
                 raise ConfigError("attention over an empty source sentence")
 
     Tt = batch.tgt_in.shape[1]
-    htilde_prev = np.zeros((B, d), dtype=dt)
+    htilde_prev = np.zeros((B, d))
     total_nll = 0.0
     step_tapes = []
     att_sources = [(top, lens) for top, (_ids, _mask, lens) in zip(enc_tops, sources)]
@@ -344,17 +343,16 @@ def backward(tape, params: ModelParams):
     masks = tape["masks"]
     B = batch.size
     d = config.hidden
-    dt = config.np_dtype
     L = config.layers
     steps = tape["steps"]
     sources = tape["sources"]
 
     dH_top = None
     if config.use_attention:
-        dH_top = [np.zeros(shape, dtype=dt) for shape in tape["enc_tops_shape"]]
+        dH_top = [np.zeros(shape) for shape in tape["enc_tops_shape"]]
 
-    d_states = [(np.zeros((B, d), dtype=dt), np.zeros((B, d), dtype=dt)) for _ in range(L)]
-    dhtilde_feed = np.zeros((B, d), dtype=dt)
+    d_states = [(np.zeros((B, d)), np.zeros((B, d))) for _ in range(L)]
+    dhtilde_feed = np.zeros((B, d))
     dmask_dec = masks["dec"] if masks else None
     hmask = masks["htilde"] if masks else None
 
@@ -384,7 +382,7 @@ def backward(tape, params: ModelParams):
 
         if config.use_attention:
             demb = dx[:, :d]
-            dhtilde_feed = dx[:, d:] if t > 0 else np.zeros((B, d), dtype=dt)
+            dhtilde_feed = dx[:, d:] if t > 0 else np.zeros((B, d))
         else:
             demb = dx
         np.add.at(params.tgt_embed.grad, batch.tgt_in[:, t], demb)
@@ -401,9 +399,9 @@ def backward(tape, params: ModelParams):
             tape["enc_caches"][k], params.src_embeds[k], params.enc_layers[k],
             masks["enc"][k] if masks else None)
 
-    for p in params.all():
-        if not np.all(np.isfinite(p.grad)):
-            raise NumericError(f"non-finite gradient in {p.name}")
+    if not np.isfinite(params.grad).all():
+        bad = next(p for p in params.all() if not np.isfinite(p.grad).all())
+        raise NumericError(f"non-finite gradient in {bad.name}")
 
 
 class DecodeSession:
@@ -428,8 +426,8 @@ class DecodeSession:
         finals, self.sources = [], []
         for k in range(config.n_sources):
             ids, mask, lens = pad_ids([srcs[k] for srcs in sentences])
-            final, tops, _ = rec_mod.encode_batch(ids, mask.astype(config.np_dtype),
-                                                  params.src_embeds[k], params.enc_layers[k])
+            final, tops, _ = rec_mod.encode_batch(ids, mask, params.src_embeds[k],
+                                                  params.enc_layers[k])
             finals.append(final)
             self.sources.append((tops[rows], lens[rows]))
         if config.n_sources == 2:
@@ -456,27 +454,28 @@ class DecodeSession:
 CKPT_MAGIC = b"MSNMTCKPT1\n"
 
 
-def save_checkpoint(path, config: ModelConfig, params: ModelParams, vocab_meta=None):
-    """Versioned flat binary; write-then-rename for atomicity."""
-    manifest = []
-    blobs = []
-    off = 0
+def _manifest(params: ModelParams):
+    """Name, shape, dtype and byte range of every parameter in the body."""
+    out, off = [], 0
     for name, p in params.registry.items():
-        raw = np.ascontiguousarray(p.value).tobytes()
-        manifest.append({"name": name, "shape": list(p.value.shape),
-                         "dtype": str(p.value.dtype), "offset": off, "nbytes": len(raw)})
-        blobs.append(raw)
-        off += len(raw)
+        out.append({"name": name, "shape": list(p.value.shape), "dtype": "float64",
+                    "offset": off, "nbytes": p.value.nbytes})
+        off += p.value.nbytes
+    return out
+
+
+def save_checkpoint(path, config: ModelConfig, params: ModelParams, vocab_meta=None):
+    """Versioned flat binary: magic, header length, JSON header, then the
+    value vector as it lies in memory.  Write-then-rename for atomicity."""
     header = json.dumps({"config": config.to_dict(), "vocab": vocab_meta or {},
-                         "params": manifest}, sort_keys=True).encode("utf-8")
+                         "params": _manifest(params)}, sort_keys=True).encode("utf-8")
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as f:
             f.write(CKPT_MAGIC)
             f.write(len(header).to_bytes(8, "little"))
             f.write(header)
-            for raw in blobs:
-                f.write(raw)
+            f.write(params.value)
         os.replace(tmp, path)
     except OSError as e:
         raise CorpusIOError(f"cannot write checkpoint {path}: {e}") from e
@@ -485,9 +484,9 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParams, vocab_meta=N
 def load_checkpoint(path):
     """Returns (config, params, vocab_meta); round-trip is bit-exact.
 
-    Each parameter is read straight into its array, which is allocated
-    without zero-filling.  A file that ends early or whose header does not
-    describe its parameters is refused."""
+    The header must describe exactly the layout its config builds; the body
+    is then read straight into the value vector.  A file that ends early or
+    whose header does not match is refused."""
     try:
         with open(path, "rb") as f:
             magic = f.read(len(CKPT_MAGIC))
@@ -497,23 +496,19 @@ def load_checkpoint(path):
             try:
                 header = json.loads(f.read(hlen).decode("utf-8"))
                 config = ModelConfig.from_dict(header["config"])
-                params = _Unfilled(config)
+                params = ModelParams(config)
                 saved = {m["name"]: m for m in header["params"]}
                 if set(saved) != set(params.registry):
                     raise CompatibilityError(f"{path}: parameter names do not match its config")
-                body = len(CKPT_MAGIC) + 8 + hlen
-                for name, p in params.registry.items():
-                    m = saved[name]
-                    if (tuple(m["shape"]) != p.value.shape or m["dtype"] != config.dtype
-                            or m["nbytes"] != p.value.nbytes):
+                for want in _manifest(params):
+                    got = saved[want["name"]]
+                    if any(got[k] != want[k] for k in want):
                         raise CompatibilityError(
-                            f"{path}: {name} is {m['dtype']} {m['shape']}, expected "
-                            f"{p.value.dtype} {list(p.value.shape)}")
-                    f.seek(body + m["offset"])
-                    if f.readinto(memoryview(p.value).cast("B")) != p.value.nbytes:
-                        raise CompatibilityError(f"{path}: truncated at parameter {name}")
+                            f"{path}: {want['name']} is {got}, expected {want}")
             except (ConfigError, ValueError, KeyError, TypeError) as e:
                 raise CompatibilityError(f"{path}: malformed checkpoint header: {e}") from e
+            if f.readinto(params.value) != params.value.nbytes:
+                raise CompatibilityError(f"{path}: truncated body")
     except OSError as e:
         raise CorpusIOError(f"cannot read checkpoint {path}: {e}") from e
     return config, params, header.get("vocab", {})

@@ -119,9 +119,8 @@ def stack_step_backward(dstates, caches, layers, dropout_masks=None):
     return dx_low, dprev
 
 
-def zero_states(n_layers, batch, d, dtype=np.float64):
-    return [(np.zeros((batch, d), dtype=dtype), np.zeros((batch, d), dtype=dtype))
-            for _ in range(n_layers)]
+def zero_states(n_layers, batch, d):
+    return [(np.zeros((batch, d)), np.zeros((batch, d))) for _ in range(n_layers)]
 
 
 def encode_batch(ids, mask, embed: Parameter, layers, dropout_masks=None):
@@ -174,9 +173,9 @@ def _layer_forward(x, keep, p: LstmParams):
         raise DimensionError(f"encode_batch: input width {d_in} vs w_x {p.w_x.value.shape}")
     zx = (x.reshape(B * T, d_in) @ np.ascontiguousarray(p.w_x.value.T)).reshape(B, T, 4 * d)
     w_hT = np.ascontiguousarray(p.w_h.value.T)
-    h = np.zeros((B, d), dtype=x.dtype)
-    c = np.zeros((B, d), dtype=x.dtype)
-    hs = np.empty((B, T, d), dtype=x.dtype)
+    h = np.zeros((B, d))
+    c = np.zeros((B, d))
+    hs = np.empty((B, T, d))
     steps = []
     for t in range(T):
         z = zx[:, t] + h @ w_hT
@@ -207,8 +206,8 @@ def encode_batch_backward(dfinal, dtop_h, cache, embed: Parameter, layers,
     for l in range(len(layers) - 1, -1, -1):
         if dfinal is None:
             d = layers[l].hidden_size
-            dh = np.zeros((B, d), dtype=embed.value.dtype)
-            dc = np.zeros((B, d), dtype=embed.value.dtype)
+            dh = np.zeros((B, d))
+            dc = np.zeros((B, d))
         else:
             dh, dc = dfinal[l]
         dhs = _layer_backward(dh, dc, dhs, *tapes[l], keep, layers[l])
@@ -223,7 +222,7 @@ def _layer_backward(dh, dc, dhs, x, steps, keep, p: LstmParams):
     above, or top_h's), or None.  Accumulates the layer's weight gradients
     and returns the gradient w.r.t. its input x [B, T, d_in]."""
     B, T, d_in = x.shape
-    dz_all = np.empty((B, T, 4 * p.hidden_size), dtype=x.dtype)
+    dz_all = np.empty((B, T, 4 * p.hidden_size))
     w_h = p.w_h.value
     for t in range(T - 1, -1, -1):
         h_prev, c_prev, gates, tc = steps[t]

@@ -17,7 +17,7 @@ import numpy as np
 from . import blas
 from . import data as data_mod
 from . import model as model_mod
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, CorpusIOError, NumericError
 from .rngs import rng_stream
 
 
@@ -33,7 +33,6 @@ class TrainConfig:
     seed: int = 1
     max_len: int = 50
     vocab_size: int = 10000
-    beam: int = 8
 
     def validate(self):
         errs = []
@@ -84,6 +83,8 @@ def lr_at(epoch, cfg: TrainConfig):
 
 
 def global_grad_norm(params):
+    # one sum per parameter, in registry order: a single sum over params.grad
+    # would round differently
     total = 0.0
     for p in params.all():
         total += float(np.sum(p.grad * p.grad))
@@ -101,16 +102,15 @@ def clip_rescale(params, threshold):
     if g <= threshold:
         return 1.0, g
     scale = threshold / g
-    for p in params.all():
-        p.grad *= scale
+    params.grad *= scale
     return scale, g
 
 
 def sgd_step(params, lr):
     """value <- value - lr * grad, then zero the grads."""
-    for p in params.all():
-        p.value -= lr * p.grad
-        p.grad[...] = 0.0
+    params.grad *= lr  # in place: no temporary the size of the model
+    params.value -= params.grad
+    params.zero_grads()
 
 
 def _eval_nll(batches, params, config):
@@ -162,8 +162,7 @@ def train(model_cfg: model_mod.ModelConfig, train_cfg: TrainConfig,
                 nll, ntok, tape = model_mod.forward_loss(
                     batch, params, model_cfg, train_mode=True, rng=drop_rng)
                 model_mod.backward(tape, params)
-                for p in params.all():
-                    p.grad /= batch.size
+                params.grad /= batch.size
                 scale, gnorm = clip_rescale(params, train_cfg.clip_threshold)
                 if scale < 1.0:
                     n_clipped += 1
@@ -179,8 +178,7 @@ def train(model_cfg: model_mod.ModelConfig, train_cfg: TrainConfig,
             if dev_ppl < best_ppl:
                 best_ppl = dev_ppl
                 best_epoch = epoch
-                with open(os.path.join(out_dir, "best"), "w") as f:
-                    f.write(f"checkpoint-epoch{epoch}\n")
+                write_best(out_dir, epoch)
 
             rec = EpochRecord(epoch=epoch, lr=lr, train_nll=total_nll / max(1, total_tok),
                               dev_ppl=dev_ppl,
@@ -194,6 +192,22 @@ def train(model_cfg: model_mod.ModelConfig, train_cfg: TrainConfig,
                     f"dev_ppl={dev_ppl:.3f} clip_rate={rec.grad_scale_rate:.2f} "
                     f"({rec.seconds:.1f}s)")
     return report, params
+
+
+def write_best(out_dir, epoch):
+    """Point the `best` marker at an epoch's checkpoint; write-then-rename,
+    so a crash leaves the previous marker whole."""
+    path = os.path.join(out_dir, "best")
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as f:
+            f.write(f"checkpoint-epoch{epoch}\n")
+        os.replace(tmp, path)
+    except OSError as e:
+        raise CorpusIOError(f"cannot write {path}: {e}") from e
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_report(path, report: TrainReport):

@@ -1,4 +1,7 @@
+import json
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from msnmt import data as data_mod
 from msnmt import gradcheck as gc
 from msnmt import model as M
+from msnmt import trainer as T
 from msnmt.data import Batch, make_batch
 from msnmt.errors import (CompatibilityError, ConfigError, NumericError,
                           VocabularyError)
@@ -34,6 +38,12 @@ class TestConfig:
     def test_round_trips_through_dict(self):
         cfg = tiny_config("multi-childsum", "local-p")
         assert M.ModelConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+    def test_only_float64_accepted(self):
+        d = tiny_config().to_dict()
+        assert d["dtype"] == "float64"
+        with pytest.raises(ConfigError, match="float32"):
+            M.ModelConfig.from_dict({**d, "dtype": "float32"})
 
 
 class TestInitParams:
@@ -259,18 +269,22 @@ class TestCheckpoint:
             assert got.dtype == p.value.dtype
             assert np.array_equal(got, p.value)
 
-    def test_load_allocates_no_gradients(self, tmp_path):
-        # translation never reads a gradient, so loading should not pay for them
+    def test_load_allocates_one_gradient_vector(self, tmp_path):
         cfg = tiny_config("multi-basic", "local-p")
         path = str(tmp_path / "ck")
         M.save_checkpoint(path, cfg, M.init_params(cfg, 3, 0.1))
-        _, params, _ = M.load_checkpoint(path)
-        assert not any("grad" in vars(p) for p in params.all())
-        assert np.array_equal(params.softmax_w.grad, np.zeros_like(params.softmax_w.value))
+        # a Parameter given no gradient would make its own with zeros_like
+        with mock.patch.object(np, "zeros_like", side_effect=AssertionError):
+            _, params, _ = M.load_checkpoint(path)
+        assert params.grad.shape == (params.n_scalars(),) and not params.grad.any()
+        off = 0
+        for p in params.all():
+            assert p.grad.ctypes.data == params.grad[off:].ctypes.data
+            off += p.grad.size
 
     def test_new_params_stay_zero_after_a_load(self, tmp_path):
-        # loading skips the zero fill; a ModelParams built by any other caller
-        # must still start at zero, also where freed loaded buffers are reused
+        # a ModelParams built after a load starts at zero, also where the
+        # loaded buffers have been freed and their memory is reused
         cfg = tiny_config("multi-childsum", "local-p")
         path = str(tmp_path / "ck")
         M.save_checkpoint(path, cfg, M.init_params(cfg, 4, 0.5))
@@ -293,3 +307,94 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(CompatibilityError):
             M.load_checkpoint(str(path))
+
+    def test_fixture_load_save_is_byte_identical(self, tmp_path):
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures", "decode", "model.ckpt")
+        cfg, params, meta = M.load_checkpoint(fixture)
+        path = str(tmp_path / "again")
+        M.save_checkpoint(path, cfg, params, meta)
+        assert open(path, "rb").read() == open(fixture, "rb").read()
+
+    @staticmethod
+    def _rewrite_header(path, edit):
+        raw = path.read_bytes()
+        start = len(M.CKPT_MAGIC) + 8
+        hlen = int.from_bytes(raw[len(M.CKPT_MAGIC):start], "little")
+        header = json.loads(raw[start:start + hlen])
+        edit(header)
+        new = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(M.CKPT_MAGIC + len(new).to_bytes(8, "little") + new
+                         + raw[start + hlen:])
+
+    def test_header_offsets_off_the_layout_refused(self, tmp_path):
+        cfg = tiny_config("multi-basic", "local-p")
+        path = tmp_path / "ck"
+        M.save_checkpoint(str(path), cfg, M.init_params(cfg, 2, 0.1))
+
+        def swap_first_two(header):
+            a, b = header["params"][:2]
+            a["offset"], b["offset"] = b["offset"], a["offset"]
+
+        self._rewrite_header(path, swap_first_two)
+        with pytest.raises(CompatibilityError, match="src0.embed") as e:
+            M.load_checkpoint(str(path))
+        assert e.value.exit_code == 4
+
+    def test_float32_header_refused(self, tmp_path):
+        cfg = tiny_config()
+        path = tmp_path / "ck"
+        M.save_checkpoint(str(path), cfg, M.init_params(cfg, 2, 0.1))
+        self._rewrite_header(path, lambda h: h["config"].update(dtype="float32"))
+        with pytest.raises(CompatibilityError, match="float64") as e:
+            M.load_checkpoint(str(path))
+        assert e.value.exit_code == 4
+
+
+ALL_COMBINATIONS = [("single", "none"), ("single", "local-p"), ("multi-basic", "none"),
+                    ("multi-basic", "local-p"), ("multi-childsum", "none"),
+                    ("multi-childsum", "local-p")]
+
+
+class TestFlatBuffer:
+    @pytest.mark.parametrize("mode,attention", ALL_COMBINATIONS)
+    def test_views_sit_at_registry_offsets(self, mode, attention):
+        params = M.ModelParams(tiny_config(mode, attention))
+        off = 0
+        for p in params.all():
+            n = p.value.size
+            for view, flat in ((p.value, params.value), (p.grad, params.grad)):
+                assert view.flags.c_contiguous
+                assert view.ctypes.data == flat[off:].ctypes.data
+            off += n
+        assert off == params.value.size == params.grad.size
+        assert not np.shares_memory(params.value, params.grad)
+        params.value[:] = np.arange(off)
+        params.grad[:] = -np.arange(off)
+        assert params.softmax_b.value[-1] == off - 1 and params.softmax_b.grad[-1] == 1 - off
+
+    @pytest.mark.parametrize("mode,attention", ALL_COMBINATIONS[1::2])
+    def test_training_step_shows_through_the_views(self, mode, attention):
+        cfg = tiny_config(mode, attention)
+        params = M.init_params(cfg, 6, 0.3)
+        _, _, tape = M.forward_loss(tiny_batch(cfg), params, cfg)
+        M.backward(tape, params)
+        assert np.array_equal(params.grad,
+                              np.concatenate([p.grad.ravel() for p in params.all()]))
+        before, grad = params.value.copy(), params.grad.copy()
+        T.sgd_step(params, 0.5)
+        assert np.array_equal(params.value, before - 0.5 * grad)
+        assert not params.grad.any()
+        off = 0
+        for p in params.all():
+            n = p.value.size
+            assert np.array_equal(p.value.ravel(), before[off:off + n] - 0.5 * grad[off:off + n])
+            assert not p.grad.any()
+            off += n
+
+    def test_nonfinite_gradient_names_its_parameter(self):
+        cfg = tiny_config()
+        params = M.init_params(cfg, 1, 0.1)
+        _, _, tape = M.forward_loss(tiny_batch(cfg), params, cfg)
+        params.dec_layers[1].w_h.grad[0, 0] = np.nan
+        with pytest.raises(NumericError, match="dec.l1.w_h"):
+            M.backward(tape, params)

@@ -1,4 +1,5 @@
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from msnmt import model as M
 from msnmt import trainer as T
 from msnmt.data import make_batch
-from msnmt.errors import ConfigError, NumericError
+from msnmt.errors import ConfigError, CorpusIOError, NumericError
 from msnmt.model import ModelConfig, init_params
 from msnmt.trainer import (TrainConfig, clip_rescale, global_grad_norm, lr_at,
                            sgd_step, train)
@@ -137,6 +138,14 @@ class TestTrainLoop:
         lines = (out / "report.tsv").read_text().splitlines()
         assert lines[0] == "epoch\tlr\ttrain-nll\tdev-ppl\tgrad-scale-rate\tseconds"
         assert len(lines) == 3
+
+    def test_best_marker_survives_a_failed_rename(self, tmp_path):
+        T.write_best(str(tmp_path), 1)
+        with mock.patch.object(T.os, "replace", side_effect=OSError("disk full")):
+            with pytest.raises(CorpusIOError, match="disk full"):
+                T.write_best(str(tmp_path), 2)
+        assert (tmp_path / "best").read_text() == "checkpoint-epoch1\n"
+        assert os.listdir(tmp_path) == ["best"]
 
     def test_resume_is_bit_exact(self, tmp_path):
         """Epochs 1-4 straight through == epochs 1-2, reload, epochs 3-4."""
