@@ -1,11 +1,15 @@
 """Beam search (beam 1 == greedy) over chunks of sentences, with
 attention-trace dumping.
 
-Every sentence of a chunk owns ``beam`` fixed slots, and each step runs all
-sentences x beam slots through one decoder step.  A slot whose score is -inf
+A file's sentences are sorted by their longest source and decoded in chunks,
+so a chunk's sources pad to similar lengths and its sentences end close
+together.  Every open sentence of a chunk owns ``beam`` slots, and each step
+runs all of their rows through one decoder step.  A slot whose score is -inf
 is dead.  Each step keeps, per sentence, the ``beam`` best extensions of its
-slots and records a backpointer (parent slot, token, traces); the best
-hypothesis is rebuilt from them at the end.
+slots and records a backpointer (parent row, token, traces); the best
+hypothesis is rebuilt from them at the end.  A sentence closes at its cap,
+or as soon as no live slot can still beat its best finished hypothesis, and
+its rows are then dropped from every later step.
 """
 
 import numpy as np
@@ -16,8 +20,10 @@ from .errors import AlignmentError, ConfigError, CorpusIOError
 from .model import DecodeSession
 
 # Sentences decoded together.  A larger chunk fills the per-step products
-# better, but encode_batch keeps a backward tape for the whole chunk: at 128
-# sentences of 20-50 tokens, peak memory rose from 96 to 151 MB.
+# better, but encode_batch builds a backward tape for the whole chunk while
+# it encodes: at 128 sentences of 20-50 tokens, peak memory rose from 96 to
+# 151 MB.  Sorting by length does not raise that peak, since a chunk already
+# pads every sentence to its longest source.
 CHUNK = 16
 
 
@@ -38,15 +44,16 @@ def _trace_row(trace, row):
                           context=trace.context[part], valid=trace.valid[part])
 
 
-def _backtrack(history, step, row):
-    """Tokens (and traces, where kept) of the hypothesis in slot ``row``
-    after ``step``."""
+def _backtrack(history, step, slot):
+    """Tokens (and traces, where kept) of the hypothesis in ``slot`` after
+    ``step``."""
     tokens, traces = [], []
-    for parents, toks, step_traces in reversed(history[:step + 1]):
-        tokens.append(int(toks[row]))
-        row = int(parents[row])          # the row that was stepped
+    for came_from, parents, toks, step_traces in reversed(history[:step + 1]):
+        tokens.append(int(toks[slot]))
+        row = int(parents[slot])         # the row that was stepped
         if step_traces is not None:
             traces.append([_trace_row(tr, row) for tr in step_traces])
+        slot = int(came_from[row])       # its slot after the step before
     return tokens[::-1], traces[::-1]
 
 
@@ -55,17 +62,25 @@ def beam_search(params, config, sentences, beam=8, max_len=None, length_norm=Tru
     """Length-capped beam search for a batch of sentences at once.
 
     sentences: list of tuples, one reversed source id list per source.  Each
-    sentence stops after its own cap, ``max_len`` or else
-    default_max_len(its source lengths), or once none of its slots is live.
-    A finished hypothesis uses up its slot.  The best finished hypothesis wins
-    (by average per-token log-probability, or by log-probability without
-    ``length_norm``); the best live one if none finished within the cap.
+    sentence has its own cap, ``max_len`` or else default_max_len(its source
+    lengths).  A finished hypothesis uses up its slot.  The best finished
+    hypothesis wins (by average per-token log-probability, or by
+    log-probability without ``length_norm``); the best live one if none
+    finished within the cap.
 
-    Returns (results, steps): per sentence (token ids without <s>/</s>,
-    score, traces), and the number of decoder steps run.  With
-    ``keep_traces``, traces holds per emitted token, </s> included, one
-    batch-of-one attention trace per source (none without attention);
-    otherwise it is empty.
+    A sentence closes at its cap, or once its best finished rank is >= a
+    bound no live slot can exceed.  Log-probabilities are <= 0 and a
+    hypothesis ends by the cap, so a live slot with score S finishes with a
+    rank of at most S / cap (S without ``length_norm``), also in rounded
+    arithmetic; a later hypothesis replaces the best only with a strictly
+    greater rank.  So the result is the one a search run to the cap gives.
+    A closed sentence's rows are dropped from every later step.
+
+    Returns (results, steps, rows): per sentence (token ids without
+    <s>/</s>, score, traces), the number of decoder steps run and the
+    number of rows they stepped.  With ``keep_traces``, traces holds per
+    emitted token, </s> included, one batch-of-one attention trace per
+    source (none without attention); otherwise it is empty.
     """
     if beam < 1:
         raise ConfigError(f"beam must be >= 1, got {beam}")
@@ -73,63 +88,78 @@ def beam_search(params, config, sentences, beam=8, max_len=None, length_norm=Tru
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
     sess = DecodeSession(params, config, sentences, beam)
     n, V = len(sentences), config.tgt_vocab_size
+    # per open sentence: its index, cap, slot scores and best finished rank
+    open_ids = np.arange(n)
     caps = np.array([max_len if max_len is not None else default_max_len(list(map(len, srcs)))
                      for srcs in sentences])
-    first_row = np.arange(n)[:, None] * beam
     score = np.full((n, beam), -np.inf)
     score[:, 0] = 0.0
+    best_rank = np.full(n, -np.inf)
+    best = [None] * n            # (rank, step, slot) of the best hypothesis
     tokens = np.full(n * beam, BOS)
+    came_from = np.arange(n * beam)
     states, htilde = sess.initial()
     history = []
-    best = [None] * n            # (rank, step, row) of the best finished hypothesis
-    searching = np.ones(n, dtype=bool)
-    t = 0
-    while searching.any():
+    t = rows = 0
+    while True:
+        m = len(open_ids)
         states, htilde, logp, traces = sess.step(states, htilde, tokens)
+        rows += m * beam
         logp[:, PAD] = -np.inf
         logp[:, BOS] = -np.inf
-        cand = (score.reshape(-1, 1) + logp).reshape(n, beam * V)
+        cand = (score.reshape(-1, 1) + logp).reshape(m, beam * V)
         top = np.argpartition(-cand, beam - 1, axis=1)[:, :beam]
         top_score = np.take_along_axis(cand, top, axis=1)
         order = np.argsort(-top_score, axis=1, kind="stable")
         top = np.take_along_axis(top, order, axis=1)
         score = np.take_along_axis(top_score, order, axis=1)
-        parents = (first_row + top // V).ravel()
+        parents = (np.arange(m)[:, None] * beam + top // V).ravel()
         tokens = (top % V).ravel()
-        history.append((parents, tokens, traces if keep_traces else None))
-        states = [(h[parents], c[parents]) for h, c in states]
-        htilde = htilde[parents]
+        history.append((came_from, parents, tokens, traces if keep_traces else None))
 
         length = t + 1
         ranks = normalised_score(score, length) if length_norm else score.copy()
-        ended = (tokens.reshape(n, beam) == EOS) & (score > -np.inf)
-        for i, j in zip(*np.nonzero(ended)):
-            if best[i] is None or ranks[i, j] > best[i][0]:
-                best[i] = (ranks[i, j], t, i * beam + j)
+        ended = (tokens.reshape(m, beam) == EOS) & (score > -np.inf)
+        for o, j in zip(*np.nonzero(ended)):
+            if ranks[o, j] > best_rank[o]:
+                best_rank[o] = ranks[o, j]
+                best[open_ids[o]] = (ranks[o, j], t, o * beam + j)
         score[ended] = -np.inf
-        for i in np.nonzero(searching & (caps == length))[0]:
-            if best[i] is None:          # nothing finished: the best live one
-                j = int(np.argmax(np.where(score[i] > -np.inf, ranks[i], -np.inf)))
-                best[i] = (ranks[i, j], t, i * beam + j)
-            score[i] = -np.inf
-        searching &= (score > -np.inf).any(axis=1)
+        capped = caps == length
+        for o in np.nonzero(capped & (best_rank == -np.inf))[0]:
+            # nothing finished: the best live one
+            j = int(np.argmax(np.where(score[o] > -np.inf, ranks[o], -np.inf)))
+            best[open_ids[o]] = (ranks[o, j], t, o * beam + j)
+        live = score.max(axis=1)
+        keep = ~(capped | (best_rank >= (live / caps if length_norm else live)))
         t += 1
+        if not keep.any():
+            break
+        came_from = np.flatnonzero(np.repeat(keep, beam))
+        if not keep.all():
+            sess.keep_rows(came_from)
+            open_ids, caps, score, best_rank = (a[keep] for a in (open_ids, caps, score,
+                                                                   best_rank))
+        src = parents[came_from]
+        states = [(h[src], c[src]) for h, c in states]
+        htilde = htilde[src]
+        tokens = tokens[came_from]
 
     results = []
-    for rank, step, row in best:
-        toks, traces = _backtrack(history, step, row)
+    for rank, step, slot in best:
+        toks, traces = _backtrack(history, step, slot)
         if toks[-1] == EOS:
             toks.pop()
         results.append((toks, float(rank), traces))
-    return results, t
+    return results, t, rows
 
 
 def beam_decode(params, config, src1_ids, src2_ids=None, beam=8, max_len=None,
                 length_norm=True):
     """beam_search for one sentence; returns its (tokens, score, traces)."""
     srcs = (src1_ids,) if src2_ids is None else (src1_ids, src2_ids)
-    results, _steps = beam_search(params, config, [srcs], beam, max_len, length_norm,
-                                  keep_traces=True)
+    results, _steps, _rows = beam_search(params, config, [srcs], beam, max_len,
+                                         length_norm, keep_traces=True)
     return results[0]
 
 
@@ -137,9 +167,11 @@ def translate_file(params, config, src_paths, out_path, vocabs, beam=8,
                    max_len=None, dump_attention=None, length_norm=True):
     """One output line per input line; optional alignment TSV
     (sentence, target_pos, encoder_id, source_pos, weight).  Non-blank lines
-    are decoded CHUNK sentences at a time; a line blank in any source stays
-    blank.  Returns {"sentences", "steps", "rows"}: sentences decoded,
-    decoder steps run and rows stepped over all of them."""
+    are sorted by their longest source (stably) and decoded CHUNK sentences
+    at a time; a line blank in any source stays blank.  Hypotheses and TSV
+    lines are written in input order.  Returns {"sentences", "steps",
+    "rows"}: sentences decoded, decoder steps run and rows stepped over all
+    of them."""
     src_vocabs, tgt_vocab = vocabs
     lines = [read_lines(p) for p in src_paths]
     if len(set(len(l) for l in lines)) != 1:
@@ -147,7 +179,11 @@ def translate_file(params, config, src_paths, out_path, vocabs, beam=8,
                              + ", ".join(f"{p}={len(l)}" for p, l in zip(src_paths, lines)))
     rows = list(zip(*lines))
     todo = [i for i, row in enumerate(rows) if all(r.strip() for r in row)]
+    encoded = {i: tuple(encode_line(r, v, reverse=True) for r, v in zip(rows[i], src_vocabs))
+               for i in todo}
+    todo.sort(key=lambda i: max(map(len, encoded[i])))
     hyps = [""] * len(rows)
+    alignments = [""] * len(rows)
     stats = {"sentences": len(todo), "steps": 0, "rows": 0}
 
     tsv = None
@@ -164,21 +200,22 @@ def translate_file(params, config, src_paths, out_path, vocabs, beam=8,
             tsv.write("sentence\ttarget_pos\tencoder_id\tsource_pos\tweight\n")
         for start in range(0, len(todo), CHUNK):
             chunk = todo[start:start + CHUNK]
-            sentences = [tuple(encode_line(r, v, reverse=True)
-                               for r, v in zip(rows[i], src_vocabs)) for i in chunk]
-            results, steps = beam_search(params, config, sentences, beam, max_len,
-                                         length_norm, keep_traces=tsv is not None)
+            results, steps, stepped = beam_search(
+                params, config, [encoded[i] for i in chunk], beam, max_len, length_norm,
+                keep_traces=tsv is not None)
             stats["steps"] += steps
-            stats["rows"] += steps * len(chunk) * beam
+            stats["rows"] += stepped
             for i, (toks, _score, traces) in zip(chunk, results):
                 hyps[i] = " ".join(decode_ids(toks, tgt_vocab))
                 if tsv is not None:
-                    for tpos, per_source in enumerate(traces):
-                        for k, trace in enumerate(per_source):
-                            for s, w in zip(trace.window[trace.valid],
-                                            trace.weights[trace.valid]):
-                                tsv.write(f"{i}\t{tpos}\t{k}\t{int(s)}\t{w:.6f}\n")
+                    alignments[i] = "".join(
+                        f"{i}\t{tpos}\t{k}\t{int(s)}\t{w:.6f}\n"
+                        for tpos, per_source in enumerate(traces)
+                        for k, trace in enumerate(per_source)
+                        for s, w in zip(trace.window[trace.valid], trace.weights[trace.valid]))
         out.writelines(h + "\n" for h in hyps)
+        if tsv is not None:
+            tsv.writelines(alignments)
     finally:
         out.close()
         if tsv is not None:

@@ -409,8 +409,9 @@ class DecodeSession:
 
     ``sentences`` is a list of tuples holding one reversed id list per source.
     Each sentence owns ``width`` consecutive rows (its beam slots), so row r
-    decodes sentence r // width.  The sources are encoded as one padded
-    batch, and every row's top states and length are gathered once, here.
+    decodes sentence r // width until ``keep_rows`` drops some rows.  The
+    sources are encoded as one padded batch, and every row's top states and
+    length are gathered once, here.
     """
 
     def __init__(self, params: ModelParams, config: ModelConfig, sentences, width=1):
@@ -441,6 +442,10 @@ class DecodeSession:
         """Decoder states and a zero feed input for every row."""
         h0 = self.init_states[0][0]
         return list(self.init_states), np.zeros_like(h0)
+
+    def keep_rows(self, rows):
+        """Keep only ``rows`` of every source, in that order, for later steps."""
+        self.sources = [(tops[rows], lens[rows]) for tops, lens in self.sources]
 
     def step(self, states, htilde_prev, tokens):
         """One teacher-free decoder step for every row.  tokens [rows]: the
@@ -479,6 +484,9 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParams, vocab_meta=N
         os.replace(tmp, path)
     except OSError as e:
         raise CorpusIOError(f"cannot write checkpoint {path}: {e}") from e
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):
@@ -493,6 +501,8 @@ def load_checkpoint(path):
             if magic != CKPT_MAGIC:
                 raise CompatibilityError(f"{path}: not an msnmt checkpoint")
             hlen = int.from_bytes(f.read(8), "little")
+            if hlen > os.fstat(f.fileno()).st_size - f.tell():
+                raise CompatibilityError(f"{path}: header length {hlen} runs past the file")
             try:
                 header = json.loads(f.read(hlen).decode("utf-8"))
                 config = ModelConfig.from_dict(header["config"])

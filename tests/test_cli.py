@@ -7,6 +7,8 @@ import pytest
 from msnmt import cli
 from msnmt import model as M
 from msnmt import synth
+from msnmt.data import Vocabulary
+from msnmt.decoding import translate_file
 from msnmt.errors import ConfigError
 
 
@@ -174,8 +176,15 @@ class TestTrainTranslateScoreSmoke:
         assert m, lines[0]
         seconds, rate, steps, rows = map(float, m.groups())
         assert seconds > 0 and rate > 0
-        # the 8 sentences are one chunk: 8 sentences x beam 2 rows every step
-        assert steps >= 1 and rows == 16.0
+        # the 8 sentences are one chunk of at most 8 x beam 2 rows; a closed
+        # sentence's rows are dropped, so the average is at most 16
+        assert steps >= 1 and 0 < rows <= 16
+        config, params, meta = M.load_checkpoint(str(out / "checkpoint-epoch4"))
+        vocabs = ([Vocabulary(t) for t in meta["src"]], Vocabulary(meta["tgt"]))
+        stats = translate_file(params, config, [str(data / "dev-src1.txt")],
+                               str(root / "hyp-count.txt"), vocabs, beam=2)
+        assert stats["steps"] == steps
+        assert steps * rows == pytest.approx(stats["rows"], abs=0.05 * steps)
 
     def test_translate_source_count_mismatch(self, trained, capsys):
         root, data, out = trained
@@ -250,6 +259,19 @@ class TestTranslateErrors:
                       "--src1", str(data / "dev-src1.txt"), "--out", str(root / "t.txt")])
         assert rc == 4
         assert "truncated" in capsys.readouterr().err
+
+    def test_damaged_header_length_exit_code(self, tmp_path, capsys):
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures", "decode")
+        raw = open(os.path.join(fixture, "model.ckpt"), "rb").read()
+        start = len(M.CKPT_MAGIC)
+        damaged = tmp_path / "damaged"
+        damaged.write_bytes(raw[:start] + (2 ** 62).to_bytes(8, "little") + raw[start + 8:])
+        rc = run_cli(["translate", "--checkpoint", str(damaged),
+                      "--src1", os.path.join(fixture, "src1.txt"),
+                      "--src2", os.path.join(fixture, "src2.txt"),
+                      "--out", str(tmp_path / "t.txt")])
+        assert rc == 4
+        assert "header length" in capsys.readouterr().err
 
     def test_unwritable_dump_path_exit_code(self, trained, capsys):
         root, data, out = trained

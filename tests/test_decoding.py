@@ -1,11 +1,12 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from msnmt import decoding
 from msnmt import model as M
-from msnmt.data import BOS, EOS, RESERVED, Vocabulary
+from msnmt.data import BOS, EOS, RESERVED, Vocabulary, decode_ids, encode_line
 from msnmt.decoding import (beam_decode, default_max_len, normalised_score,
                             translate_file)
 from msnmt.errors import AlignmentError, ConfigError
@@ -37,11 +38,13 @@ def greedy(params, config, src1, src2=None, max_len=20):
     return tokens, total
 
 
-def reference_beam_decode(params, config, srcs, beam, max_len=None, length_norm=True):
+def reference_beam_decode(params, config, srcs, beam, max_len=None, length_norm=True,
+                          session=DecodeSession):
     """The search one hypothesis at a time, each stepped as its own batch of
-    one: the reference the batched search must match.  A -inf candidate is
-    never a hypothesis, and a finished one uses up a place in the beam."""
-    sess = DecodeSession(params, config, [srcs])
+    one, always to the cap: the reference the batched search must match.  A
+    -inf candidate is never a hypothesis, and a finished one uses up a place
+    in the beam."""
+    sess = session(params, config, [srcs])
     if max_len is None:
         max_len = default_max_len([len(s) for s in srcs])
     states, htilde = sess.initial()
@@ -180,6 +183,73 @@ class TestBeamDecode:
             beam_decode(ModelParams(cfg), cfg, [])
 
 
+A, B = 4, 5                          # the two real target types of ScriptedSession
+
+
+class ScriptedSession:
+    """A DecodeSession whose log-probabilities are fixed per sentence and
+    previous token.  A sentence's script is picked by its first source id;
+    it maps the previous token to {token: log-probability}, and every other
+    token gets -20.  It records the rows of every step."""
+
+    SCRIPTS = {
+        # after <s>, </s> at -1.0 is the best finished rank for a while; "a"
+        # (-1.5) averages less, yet "a </s>" ranks -1.55 / 2 = -0.775
+        4: {BOS: {EOS: -1.0, A: -1.5}, A: {EOS: -0.05, A: -1.0}},
+        # "b" stays ahead of every finished hypothesis up to the cap
+        5: {BOS: {EOS: -5.0, B: -0.1}, B: {EOS: -5.0, B: -0.1}},
+    }
+    stepped = []
+
+    def __init__(self, params, config, sentences, width=1):
+        self.script = np.repeat([srcs[0][0] for srcs in sentences], width)
+
+    def initial(self):
+        rows = len(self.script)
+        return [(np.zeros((rows, 1)), np.zeros((rows, 1)))], np.zeros((rows, 1))
+
+    def keep_rows(self, rows):
+        self.script = self.script[rows]
+
+    def step(self, states, htilde, tokens):
+        assert len(tokens) == len(self.script)
+        self.stepped.append(len(tokens))
+        logp = np.full((len(tokens), 6), -20.0)
+        for r, (key, prev) in enumerate(zip(self.script, tokens)):
+            for tok, lp in self.SCRIPTS[key].get(prev, {}).items():
+                logp[r, tok] = lp
+        return states, htilde, logp, []
+
+
+class TestStopRule:
+    CFG = small_cfg(vocab=6)
+
+    @pytest.mark.parametrize("length_norm,want,closes", [
+        # sentence "a": closes once -0.775 >= its best live score / cap
+        # 10, (-1.5 - 7) / 10, after step 8 of 10
+        (True, [([A], -0.775), ([B] * 9, -5.9 / 10)], 8),
+        # without length normalisation, "</s>" at -1.0 beats the live "a"
+        # (-1.5) at once; "b"'s live score never falls to its "</s>" (-5.0)
+        (False, [([], -1.0), ([], -5.0)], 1),
+    ])
+    def test_closes_at_the_first_step_the_bound_allows(self, monkeypatch, length_norm,
+                                                       want, closes):
+        monkeypatch.setattr(decoding, "DecodeSession", ScriptedSession)
+        monkeypatch.setattr(ScriptedSession, "stepped", [])
+        sentences = [([4],), ([5],)]
+        results, steps, rows = decoding.beam_search(None, self.CFG, sentences, beam=2,
+                                                    max_len=10, length_norm=length_norm)
+        for (toks, score, _), (want_toks, want_score), srcs in zip(results, want, sentences):
+            ref_toks, ref_score = reference_beam_decode(None, self.CFG, srcs, 2, 10,
+                                                        length_norm, ScriptedSession)
+            assert toks == ref_toks == want_toks
+            assert score == pytest.approx(ref_score, abs=1e-12)
+            assert score == pytest.approx(want_score, abs=1e-12)
+        # both sentences' two rows until "a" closes, then "b"'s alone to the cap
+        assert ScriptedSession.stepped[:steps] == [4] * closes + [2] * (10 - closes)
+        assert (steps, rows) == (10, 4 * closes + 2 * (10 - closes))
+
+
 class TestTranslateFile:
     def _vocab(self):
         return Vocabulary(RESERVED + [f"w{k}" for k in range(8)])
@@ -219,6 +289,50 @@ class TestTranslateFile:
             assert 0 <= int(spos) < lim
             assert 0.0 <= float(w) <= 1.0
         assert encs == {"0", "1"}
+
+    def _reverse_length_files(self, tmp_path):
+        """20 lines, 20 tokens down to 1: two chunks, in reverse length order."""
+        s1, s2 = tmp_path / "s1", tmp_path / "s2"
+        s1.write_text("".join(" ".join(f"w{k % 8}" for k in range(n)) + "\n"
+                              for n in range(20, 0, -1)), encoding="utf-8")
+        s2.write_text("w3 w1\n" * 20, encoding="utf-8")
+        return [str(s1), str(s2)]
+
+    def test_rows_are_the_rows_stepped(self, tmp_path, monkeypatch):
+        cfg = small_cfg("multi-basic")
+        params = init_params(cfg, 23, 0.5)
+        v = self._vocab()
+        seen = []
+        step = M.DecodeSession.step
+
+        def counting_step(sess, states, htilde, tokens):
+            seen.append(len(tokens))
+            return step(sess, states, htilde, tokens)
+
+        monkeypatch.setattr(M.DecodeSession, "step", counting_step)
+        stats = translate_file(params, cfg, self._reverse_length_files(tmp_path),
+                               str(tmp_path / "out"), ([v, v], v), beam=4)
+        assert stats["rows"] == sum(seen) and stats["steps"] == len(seen)
+        assert max(seen) == decoding.CHUNK * 4 and min(seen) < 4 * 4
+
+    def test_outputs_in_input_order(self, tmp_path):
+        cfg = small_cfg("multi-basic")
+        params = init_params(cfg, 23, 0.5)
+        v = self._vocab()
+        paths = self._reverse_length_files(tmp_path)
+        out, att = tmp_path / "out", tmp_path / "att.tsv"
+        translate_file(params, cfg, paths, str(out), ([v, v], v), beam=4,
+                       dump_attention=str(att))
+        hyps = out.read_text(encoding="utf-8").splitlines()
+        rows = [r.split("\t") for r in att.read_text(encoding="utf-8").splitlines()[1:]]
+        sentences = [int(r[0]) for r in rows]
+        assert sentences == sorted(sentences) and set(sentences) == set(range(20))
+        lines = zip(*(Path(p).read_text(encoding="utf-8").splitlines() for p in paths))
+        for i, (hyp, srcs) in enumerate(zip(hyps, lines)):
+            toks, _, traces = beam_decode(params, cfg, *(encode_line(l, v, reverse=True)
+                                                    for l in srcs), beam=4)
+            assert hyp == " ".join(decode_ids(toks, v))
+            assert len({r[1] for r in rows if r[0] == str(i)}) == len(traces)
 
     def test_misaligned_sources(self, tmp_path):
         cfg = small_cfg("multi-basic")
