@@ -8,9 +8,8 @@ Gaussian centered at p_t with sigma = D/2.  Window MEMBERSHIP is treated as
 non-differentiable; p_t receives gradient through the Gaussian factor.
 
 ``local_p`` is the one implementation: it attends for a whole batch over one
-source's top encoder states, and ``local_p_backward`` is its gradient.  The
-single-example functions (``attend``, ``predict_position``,
-``window_weights``, ``multi_attend``) are its B=1 case.
+source's top encoder states, and ``local_p_backward`` is its gradient.
+``attend`` and ``multi_attend`` run it on a batch of one.
 
 Positions are in ORIGINAL word order.  The encoder reads sources reversed,
 so ``local_p`` takes its top states in encoder order and reads original
@@ -39,21 +38,16 @@ class AttentionParams:
 
 @dataclass
 class AttentionTrace:
-    """Everything one attention step looked at, for dumps and tests.
+    """Everything one attention step over a batch looked at, for dumps and
+    tests.  Every row is padded to the common width W; padded slots repeat
+    the row's last position and weigh exactly 0."""
 
-    From ``local_p``: p_t [B]; window, align and weights [B, W], every row
-    padded to the common width W with ``valid`` marking its real slots
-    (padded slots repeat the row's last position and weigh exactly 0);
-    context [B, d].  For a single example (``attend``, ``window_weights``):
-    p_t a float, window/align/weights over the real slots only, context [d].
-    """
-
-    p_t: object          # [B], or a float for one example
-    window: np.ndarray   # integer source positions
-    align: np.ndarray    # softmax weights over the window, sum to 1
-    weights: np.ndarray  # a_t(s) = align * gaussian
-    context: np.ndarray  # [B, d], or [d] for one example
-    valid: np.ndarray = None
+    p_t: np.ndarray      # [B] predicted positions
+    window: np.ndarray   # [B, W] integer source positions
+    align: np.ndarray    # [B, W] softmax weights over the window, sum to 1
+    weights: np.ndarray  # [B, W] a_t(s) = align * gaussian
+    context: np.ndarray  # [B, d]
+    valid: np.ndarray    # [B, W] true on real window slots
 
 
 def _positions(h, params, lens):
@@ -140,67 +134,14 @@ def local_p_backward(dctx, cache, params: AttentionParams, dtops):
     return du @ params.w_a.value.T + dz @ params.w_p.value
 
 
-def _one(trace):
-    """Row 0 of a batched trace, over its real window slots only."""
-    n = int(trace.valid[0].sum())
-    ctx = None if trace.context is None else trace.context[0]
-    return AttentionTrace(p_t=float(trace.p_t[0]), window=trace.window[0, :n],
-                          align=trace.align[0, :n], weights=trace.weights[0, :n],
-                          context=ctx)
-
-
-def _as_batch(h_t, top_seq):
-    """One example as a batch of one: h [1, d], encoder-order tops [1, S, d], lens [1]."""
+def attend(h_t, top_seq, params: AttentionParams, D):
+    """local_p for one example, top_seq [S, d] in original word order, as a
+    batch of one.  Returns (ctx [1, d], trace, cache)."""
     top_seq = np.asarray(top_seq)
     if len(top_seq) < 1:
         raise ConfigError("attention over an empty source")
-    return np.asarray(h_t)[None], top_seq[None, ::-1], np.array([len(top_seq)])
-
-
-def predict_position(h_t, params: AttentionParams, S):
-    """p_t for one example; returns (p_t, sigmoid(v_p . tanh(W_p h_t)))."""
-    if S < 1:
-        raise ConfigError(f"predict_position: source length {S} < 1")
-    p, _m, sg = _positions(np.asarray(h_t)[None], params, np.array([S]))
-    return float(p[0]), float(sg[0])
-
-
-def window_weights(h_t, top_seq, p_t, D, w_a: Parameter):
-    """Score the window around a given p_t for one example.
-
-    Returns (trace, None); trace.context is filled in by context_vector.
-    """
-    h, tops, lens = _as_batch(h_t, top_seq)
-    trace, *_ = _window_weights(h, tops, lens, np.array([float(p_t)]), D, w_a)
-    return _one(trace), None
-
-
-def context_vector(trace: AttentionTrace, top_seq):
-    """c_t = sum over the window of a_t(s) * h_s, for one example."""
-    ctx = trace.weights @ np.asarray(top_seq)[trace.window]
-    trace.context = ctx
-    return ctx
-
-
-def attend(h_t, top_seq, params: AttentionParams, D):
-    """local_p for one example with top_seq [S, d] in original word order.
-
-    Returns (ctx [d], trace, cache).
-    """
-    ctx, trace, cache = local_p(*_as_batch(h_t, top_seq), params, D)
-    return ctx[0], _one(trace), cache
-
-
-def attend_backward(dctx, cache, params: AttentionParams):
-    """Backward through attend; accumulates into params.
-
-    Returns (dh_t [d], window positions, dtop over window [W, d]).
-    """
-    _, tops, *_, trace, _ = cache
-    dtops = np.zeros_like(tops)
-    dh = local_p_backward(np.asarray(dctx)[None], cache, params, dtops)
-    win = _one(trace).window
-    return dh[0], win, dtops[0, ::-1][win]
+    return local_p(np.asarray(h_t)[None], top_seq[None, ::-1], np.array([len(top_seq)]),
+                   params, D)
 
 
 def attentional_hidden(h_t, contexts, proj: Parameter):
@@ -235,5 +176,5 @@ def multi_attend(h_t, enc1_seq, enc2_seq, params1, params2, proj, D):
     (h_tilde [d], trace1, trace2)."""
     c1, t1, _ = attend(h_t, enc1_seq, params1, D)
     c2, t2, _ = attend(h_t, enc2_seq, params2, D)
-    out, _ = attentional_hidden(h_t, [c1[None], c2[None]], proj)
+    out, _ = attentional_hidden(h_t, [c1, c2], proj)
     return out[0], t1, t2

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation, 2 I/O, 3 numeric, 4 compatibility.
 
 import argparse
 import os
+import re
 import sys
 import time
 
@@ -29,7 +30,7 @@ def log(msg):
 CONFIG_KEYS = {
     "mode", "attention", "layers", "hidden", "window", "epochs", "lr",
     "halve_after", "clip", "batch_size", "dropout", "init_range", "seed",
-    "vocab_size", "max_len", "beam",
+    "vocab_size", "max_len",
 }
 
 
@@ -93,12 +94,10 @@ def build_parser():
     tr.add_argument("--max-len", type=int, help="default 2*source length + 5 per line")
     tr.add_argument("--dump-attention", help="write alignment weights to this TSV")
     tr.add_argument("--no-length-norm", action="store_true")
-    tr.add_argument("--seed", type=int, default=1)
 
     s = sub.add_parser("score", help="corpus BLEU of a hypothesis file vs a reference")
     s.add_argument("--hyp", required=True)
     s.add_argument("--ref", required=True)
-    s.add_argument("--seed", type=int, default=1)
 
     g = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")
     g.add_argument("--mode", choices=model_mod.MODES, default="single")
@@ -128,7 +127,11 @@ def _resolve(args, file_vals, key, cast, default):
     if cli_val is not None:
         return cli_val
     if key in file_vals:
-        return cast(file_vals[key])
+        try:
+            return cast(file_vals[key])
+        except ValueError:
+            raise ConfigError(f"{args.config}: cannot read {key} = {file_vals[key]!r} "
+                              f"as {cast.__name__}") from None
     return default
 
 
@@ -216,8 +219,12 @@ def cmd_train(args):
         if ck_cfg.to_dict() != model_cfg.to_dict():
             raise CompatibilityError("resume checkpoint config does not match this run")
         base = os.path.basename(args.resume)
-        if base.startswith("checkpoint-epoch"):
-            start_epoch = int(base[len("checkpoint-epoch"):]) + 1
+        epoch = re.fullmatch(r"checkpoint-epoch([0-9]+)", base)
+        if epoch:
+            start_epoch = int(epoch[1]) + 1
+        elif base.startswith("checkpoint-epoch"):
+            raise ConfigError(f"--resume {args.resume}: no epoch number in {base!r}; "
+                              "expected checkpoint-epoch<N>")
         log(f"resuming from {args.resume} at epoch {start_epoch}")
 
     trainer_mod.train(model_cfg, train_cfg, enc_train, enc_dev, args.out,

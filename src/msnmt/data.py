@@ -30,9 +30,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.tokens)
 
-    def id_of(self, token):
-        return self.index.get(token, UNK)
-
     def token_of(self, tid):
         if not 0 <= tid < len(self.tokens):
             raise VocabularyError(f"id {tid} outside vocabulary of size {len(self.tokens)}")

@@ -181,9 +181,6 @@ class ModelParams:
     def zero_grads(self):
         self.grad[...] = 0.0
 
-    def n_scalars(self):
-        return self.value.size
-
 
 def init_params(config: ModelConfig, seed, init_range):
     """Uniform [-range, +range] weights from the 'init' substream; biases zero."""
@@ -227,6 +224,28 @@ def make_dropout_masks(config: ModelConfig, params: ModelParams, batch_size, rng
 def _check_ids(ids, vocab_size, what):
     if ids.size and (ids.max() >= vocab_size or ids.min() < 0):
         raise VocabularyError(f"{what}: token id outside vocabulary of size {vocab_size}")
+
+
+def _encode_sources(params: ModelParams, config: ModelConfig, sources, enc_masks=None):
+    """Encode every source and combine the encoders' final states.
+
+    sources: per source, its padded reversed ids [B, T] and mask [B, T].
+    enc_masks: per source, its encoder dropout masks, or None.  Returns (the
+    decoder's initial states, each source's top states [B, T, d], the
+    encoder caches, the combiner cache or None in single mode)."""
+    finals, tops, caches = [], [], []
+    for k, (ids, mask) in enumerate(sources):
+        final, top, cache = rec_mod.encode_batch(
+            ids, mask, params.src_embeds[k], params.enc_layers[k],
+            enc_masks[k] if enc_masks else None)
+        finals.append(final)
+        tops.append(top)
+        caches.append(cache)
+    if config.n_sources == 1:
+        return finals[0], tops, caches, None
+    init, comb_cache = comb_mod.combine_stacks(
+        finals[0], finals[1], config.combiner_method, params.combiners)
+    return init, tops, caches, comb_cache
 
 
 def decoder_step(params: ModelParams, config: ModelConfig, tokens, states, htilde_prev,
@@ -278,44 +297,29 @@ def forward_loss(batch, params: ModelParams, config: ModelConfig,
     B = batch.size
     d = config.hidden
 
-    sources = [(batch.src1, batch.src1_mask, batch.src1_len)]
+    sources, lens = [(batch.src1, batch.src1_mask)], [batch.src1_len]
     if config.n_sources == 2:
         if batch.src2 is None:
             raise ConfigError("multi-source model but the batch has no second source")
-        sources.append((batch.src2, batch.src2_mask, batch.src2_len))
+        sources.append((batch.src2, batch.src2_mask))
+        lens.append(batch.src2_len)
     elif batch.src2 is not None:
         raise ConfigError("single-source model but the batch carries a second source")
     _check_ids(batch.tgt_in, config.tgt_vocab_size, "target")
 
     masks = make_dropout_masks(config, params, B, rng) if (train_mode and rng is not None) else None
 
-    enc_finals, enc_tops, enc_caches = [], [], []
-    for k, (ids, mask, _lens) in enumerate(sources):
-        emask = masks["enc"][k] if masks else None
-        final, top_h, cache = rec_mod.encode_batch(
-            ids.astype(np.int64), mask.astype(np.float64), params.src_embeds[k],
-            params.enc_layers[k], emask)
-        enc_finals.append(final)
-        enc_tops.append(top_h)
-        enc_caches.append(cache)
+    dec_states, enc_tops, enc_caches, comb_cache = _encode_sources(
+        params, config, sources, masks["enc"] if masks else None)
 
-    comb_cache = None
-    if config.n_sources == 2:
-        dec_states, comb_cache = comb_mod.combine_stacks(
-            enc_finals[0], enc_finals[1], config.combiner_method, params.combiners)
-    else:
-        dec_states = [(h.copy(), c.copy()) for h, c in enc_finals[0]]
-
-    if config.use_attention:
-        for _ids, _mask, lens in sources:
-            if lens.min() < 1:
-                raise ConfigError("attention over an empty source sentence")
+    if config.use_attention and min(l.min() for l in lens) < 1:
+        raise ConfigError("attention over an empty source sentence")
 
     Tt = batch.tgt_in.shape[1]
     htilde_prev = np.zeros((B, d))
     total_nll = 0.0
     step_tapes = []
-    att_sources = [(top, lens) for top, (_ids, _mask, lens) in zip(enc_tops, sources)]
+    att_sources = list(zip(enc_tops, lens))
 
     for t in range(Tt):
         dec_states, htilde_prev, logp, step = decoder_step(
@@ -332,7 +336,7 @@ def forward_loss(batch, params: ModelParams, config: ModelConfig,
     tape = {"batch": batch, "config": config, "masks": masks,
             "enc_caches": enc_caches, "comb_cache": comb_cache,
             "enc_tops_shape": [th.shape for th in enc_tops],
-            "sources": sources, "steps": step_tapes}
+            "steps": step_tapes}
     return total_nll, batch.n_predicted, tape
 
 
@@ -345,7 +349,6 @@ def backward(tape, params: ModelParams):
     d = config.hidden
     L = config.layers
     steps = tape["steps"]
-    sources = tape["sources"]
 
     dH_top = None
     if config.use_attention:
@@ -393,10 +396,10 @@ def backward(tape, params: ModelParams):
     else:
         dfin = (d_states,)
 
-    for k in range(len(sources)):
+    for k, cache in enumerate(tape["enc_caches"]):
         rec_mod.encode_batch_backward(
             dfin[k], dH_top[k] if dH_top is not None else None,
-            tape["enc_caches"][k], params.src_embeds[k], params.enc_layers[k],
+            cache, params.src_embeds[k], params.enc_layers[k],
             masks["enc"][k] if masks else None)
 
     if not np.isfinite(params.grad).all():
@@ -424,18 +427,10 @@ class DecodeSession:
         self.params = params
         self.config = config
         rows = np.repeat(np.arange(len(sentences)), width)
-        finals, self.sources = [], []
-        for k in range(config.n_sources):
-            ids, mask, lens = pad_ids([srcs[k] for srcs in sentences])
-            final, tops, _ = rec_mod.encode_batch(ids, mask, params.src_embeds[k],
-                                                  params.enc_layers[k])
-            finals.append(final)
-            self.sources.append((tops[rows], lens[rows]))
-        if config.n_sources == 2:
-            init, _ = comb_mod.combine_stacks(
-                finals[0], finals[1], config.combiner_method, params.combiners)
-        else:
-            init = finals[0]
+        padded = [pad_ids([srcs[k] for srcs in sentences]) for k in range(config.n_sources)]
+        init, tops, _, _ = _encode_sources(params, config,
+                                           [(ids, mask) for ids, mask, _lens in padded])
+        self.sources = [(top[rows], lens[rows]) for top, (_, _, lens) in zip(tops, padded)]
         self.init_states = [(h[rows], c[rows]) for h, c in init]
 
     def initial(self):

@@ -30,9 +30,6 @@ class Parameter:
         self.value = value
         self.grad = grad
 
-    def zero_grad(self):
-        self.grad[...] = 0.0
-
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))

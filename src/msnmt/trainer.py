@@ -69,9 +69,6 @@ class EpochRecord:
 class TrainReport:
     epochs: list = field(default_factory=list)
 
-    def best_epoch(self):
-        return min(self.epochs, key=lambda e: e.dev_ppl).epoch
-
 
 def lr_at(epoch, cfg: TrainConfig):
     """lr0 through halve_after_epoch, then halved every epoch after."""
@@ -145,7 +142,6 @@ def train(model_cfg: model_mod.ModelConfig, train_cfg: TrainConfig,
                                     rng_stream(train_cfg.seed, "devbatch"))
 
     best_ppl = math.inf
-    best_epoch = None
     # the products are too small for a second BLAS thread to pay (blas.py)
     with blas.one_thread():
         for epoch in range(start_epoch, train_cfg.epochs + 1):
@@ -177,7 +173,6 @@ def train(model_cfg: model_mod.ModelConfig, train_cfg: TrainConfig,
                                       params, vocab_meta)
             if dev_ppl < best_ppl:
                 best_ppl = dev_ppl
-                best_epoch = epoch
                 write_best(out_dir, epoch)
 
             rec = EpochRecord(epoch=epoch, lr=lr, train_nll=total_nll / max(1, total_tok),

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from msnmt.attention import (AttentionParams, attend, attend_backward,
-                             attentional_hidden, attentional_hidden_backward,
-                             context_vector, local_p, local_p_backward,
-                             multi_attend, predict_position, window_weights)
+from msnmt.attention import (AttentionParams, attend, attentional_hidden,
+                             attentional_hidden_backward, local_p, local_p_backward,
+                             multi_attend)
 from msnmt.errors import ConfigError, DimensionError
 from msnmt.numerics import Parameter, finite_difference_grad, sigmoid
 
@@ -18,103 +17,107 @@ def make_params(d, rng=None, prefix="a"):
                            w_a=Parameter(f"{prefix}.w_a", arr((d, d))))
 
 
+def batch(rng, lens, d):
+    """Decoder states [B, d] and encoder-order top states [B, T, d] for lens."""
+    lens = np.array(lens)
+    return rng.uniform(-1, 1, (len(lens), d)), rng.uniform(-1, 1, (len(lens), lens.max(), d)), lens
+
+
 class TestPredictPosition:
     def test_zero_vp_gives_midpoint(self):
         rng = np.random.default_rng(0)
         p = make_params(3, rng)
         p.v_p.value[...] = 0.0
-        pt, _ = predict_position(rng.uniform(-1, 1, 3), p, 8)
-        assert pt == pytest.approx(4.0, abs=1e-15)
+        h, tops, lens = batch(rng, [8, 1, 5], 3)
+        _, trace, _ = local_p(h, tops, lens, p, 2)
+        assert np.allclose(trace.p_t, lens / 2, rtol=0, atol=1e-15)
 
     def test_length_one_in_open_interval(self):
         rng = np.random.default_rng(1)
         p = make_params(3, rng)
-        pt, _ = predict_position(rng.uniform(-1, 1, 3), p, 1)
-        assert 0.0 < pt < 1.0
+        h, tops, lens = batch(rng, [1, 1, 1], 3)
+        _, trace, _ = local_p(h, tops, lens, p, 2)
+        assert np.all((0.0 < trace.p_t) & (trace.p_t < 1.0))
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(2)
         d = 2
         p = make_params(d, rng)
-        h = rng.uniform(-1, 1, d)
-        pt, _ = predict_position(h, p, 5)
-        m = [np.tanh(sum(p.w_p.value[i, j] * h[j] for j in range(d))) for i in range(d)]
-        q = sum(p.v_p.value[i] * m[i] for i in range(d))
-        assert pt == pytest.approx(5 * sigmoid(q), abs=1e-12)
+        h, tops, lens = batch(rng, [5, 1, 9], d)
+        _, trace, _ = local_p(h, tops, lens, p, 2)
+        for b, S in enumerate(lens):
+            m = [np.tanh(sum(p.w_p.value[i, j] * h[b, j] for j in range(d))) for i in range(d)]
+            q = sum(p.v_p.value[i] * m[i] for i in range(d))
+            assert trace.p_t[b] == pytest.approx(S * sigmoid(q), abs=1e-12)
 
     def test_bad_length(self):
         with pytest.raises(ConfigError):
-            predict_position(np.zeros(2), make_params(2), 0)
+            attend(np.zeros(2), np.zeros((0, 2)), make_params(2), 1)
 
 
 class TestWindowWeights:
     def test_zero_score_uniform_align(self):
         rng = np.random.default_rng(3)
-        top = rng.uniform(-1, 1, (6, 3))
-        w_a = Parameter("w_a", np.zeros((3, 3)))
-        trace, _ = window_weights(rng.uniform(-1, 1, 3), top, 2.5, 2, w_a)
-        W = len(trace.window)
-        assert np.allclose(trace.align, 1.0 / W, atol=1e-12)
+        p = make_params(3, rng)
+        p.w_a.value[...] = 0.0
+        h, tops, lens = batch(rng, [6, 3, 9], 3)
+        _, trace, _ = local_p(h, tops, lens, p, 2)
+        n = trace.valid.sum(axis=1, keepdims=True)
+        assert np.allclose(trace.align, trace.valid / n, rtol=0, atol=1e-12)
         sigma = 1.0
-        gauss = np.exp(-((trace.window - 2.5) ** 2) / (2 * sigma ** 2))
-        assert np.allclose(trace.weights, gauss / W, atol=1e-12)
+        gauss = np.exp(-((trace.window - trace.p_t[:, None]) ** 2) / (2 * sigma ** 2))
+        assert np.allclose(trace.weights, trace.valid * gauss / n, rtol=0, atol=1e-12)
 
     def test_gaussian_factor_one_at_center(self):
         rng = np.random.default_rng(4)
-        top = rng.uniform(-1, 1, (5, 2))
-        w_a = Parameter("w_a", rng.uniform(-1, 1, (2, 2)))
-        trace, _ = window_weights(rng.uniform(-1, 1, 2), top, 2.0, 1, w_a)
-        idx = list(trace.window).index(2)
-        assert trace.weights[idx] == pytest.approx(trace.align[idx], abs=1e-15)
+        p = make_params(2, rng)
+        p.v_p.value[...] = 0.0          # p_t = S / 2, a whole position for even S
+        h, tops, lens = batch(rng, [4, 8, 6], 2)
+        _, trace, _ = local_p(h, tops, lens, p, 1)
+        at = trace.window == trace.p_t[:, None]
+        assert at.sum(axis=1).tolist() == [1, 1, 1]
+        assert np.allclose(trace.weights[at], trace.align[at], rtol=0, atol=1e-15)
 
     def test_short_sentence_clamps_to_whole(self):
         rng = np.random.default_rng(5)
-        top = rng.uniform(-1, 1, (3, 2))
-        w_a = Parameter("w_a", rng.uniform(-1, 1, (2, 2)))
-        trace, _ = window_weights(rng.uniform(-1, 1, 2), top, 1.4, 10, w_a)
-        assert list(trace.window) == [0, 1, 2]
+        p = make_params(2, rng)
+        h, tops, lens = batch(rng, [3, 1, 11], 2)
+        _, trace, _ = local_p(h, tops, lens, p, 10)
+        for b, S in enumerate(lens):
+            assert trace.window[b, trace.valid[b]].tolist() == list(range(S))
 
     def test_zero_radius_rejected(self):
+        h, tops, lens = batch(np.random.default_rng(0), [3], 2)
         with pytest.raises(ConfigError):
-            window_weights(np.zeros(2), np.zeros((3, 2)), 1.0, 0,
-                           Parameter("w_a", np.zeros((2, 2))))
+            local_p(h, tops, lens, make_params(2), 0)
 
     def test_align_sums_to_one(self):
         rng = np.random.default_rng(6)
-        top = rng.uniform(-1, 1, (9, 3))
-        w_a = Parameter("w_a", rng.uniform(-1, 1, (3, 3)))
-        trace, _ = window_weights(rng.uniform(-1, 1, 3), top, 4.7, 3, w_a)
-        assert abs(trace.align.sum() - 1.0) <= 1e-9
+        p = make_params(3, rng)
+        h, tops, lens = batch(rng, [9, 2, 14], 3)
+        _, trace, _ = local_p(h, tops, lens, p, 3)
+        assert np.all(np.abs(trace.align.sum(axis=1) - 1.0) <= 1e-9)
         assert np.all(trace.weights <= trace.align + 1e-15)
 
 
 class TestContextVector:
     def test_single_position(self):
         rng = np.random.default_rng(7)
-        top = rng.uniform(-1, 1, (1, 3))
-        w_a = Parameter("w_a", rng.uniform(-1, 1, (3, 3)))
-        trace, _ = window_weights(rng.uniform(-1, 1, 3), top, 0.5, 1, w_a)
-        ctx = context_vector(trace, top)
-        assert np.allclose(ctx, trace.weights[0] * top[0], atol=1e-15)
-
-    def test_zero_weights_zero_context(self):
-        trace_top = np.ones((2, 3))
-        from msnmt.attention import AttentionTrace
-        trace = AttentionTrace(p_t=0.5, window=np.array([0, 1]),
-                               align=np.array([0.5, 0.5]),
-                               weights=np.zeros(2), context=None)
-        assert np.array_equal(context_vector(trace, trace_top), np.zeros(3))
+        p = make_params(3, rng)
+        h, tops, lens = batch(rng, [1, 1], 3)
+        ctx, trace, _ = local_p(h, tops, lens, p, 1)
+        assert np.allclose(ctx, trace.weights[:, :1] * tops[:, 0], rtol=0, atol=1e-15)
 
     def test_matches_explicit_sum(self):
         rng = np.random.default_rng(8)
-        top = rng.uniform(-1, 1, (5, 3))
-        w_a = Parameter("w_a", rng.uniform(-1, 1, (3, 3)))
-        trace, _ = window_weights(rng.uniform(-1, 1, 3), top, 2.0, 1, w_a)
-        ctx = context_vector(trace, top)
-        want = np.zeros(3)
-        for s, w in zip(trace.window, trace.weights):
-            want += w * top[s]
-        assert np.allclose(ctx, want, atol=1e-14)
+        p = make_params(3, rng)
+        h, tops, lens = batch(rng, [5, 2, 7], 3)
+        ctx, trace, _ = local_p(h, tops, lens, p, 1)
+        for b, S in enumerate(lens):
+            want = np.zeros(3)
+            for s, w in zip(trace.window[b, trace.valid[b]], trace.weights[b, trace.valid[b]]):
+                want += w * tops[b, S - 1 - s]   # tops are in encoder order
+            assert np.allclose(ctx[b], want, rtol=0, atol=1e-14)
 
 
 class TestAttentionalHidden:
@@ -178,7 +181,7 @@ class TestMultiAttend:
         enc1 = rng.uniform(-1, 1, (4, d))
         enc2 = np.tile(rng.uniform(-1, 1, d), (6, 1))
         _, _, t2 = multi_attend(rng.uniform(-1, 1, d), enc1, enc2, p1, p2, proj, 2)
-        assert np.allclose(t2.align, 1.0 / len(t2.window), atol=1e-12)
+        assert np.allclose(t2.align[t2.valid], 1.0 / t2.valid.sum(), atol=1e-12)
 
     def test_zero_vp_positions(self):
         rng = np.random.default_rng(13)
@@ -212,32 +215,6 @@ class TestMultiAttend:
         assert np.array_equal(t2.weights, s2.weights)
 
 
-class TestAttendGradients:
-    def test_full_path_vs_fd(self):
-        # includes the p_t path through the Gaussian factor
-        rng = np.random.default_rng(15)
-        d = 3
-        S = 6
-        p = make_params(d, rng)
-        h = Parameter("h", rng.uniform(-1, 1, d))
-        top = Parameter("top", rng.uniform(-1, 1, (S, d)))
-        w = rng.uniform(-1, 1, d)
-
-        def loss():
-            ctx, _, _ = attend(h.value, top.value, p, 2)
-            return float(ctx @ w)
-
-        ctx, trace, cache = attend(h.value, top.value, p, 2)
-        dh, win, dhs = attend_backward(w, cache, p)
-        dtop = np.zeros((S, d))
-        dtop[win] += dhs
-        fd = finite_difference_grad(loss, [h, top] + p.all())
-        assert np.allclose(dh, fd["h"], rtol=1e-4, atol=1e-8)
-        assert np.allclose(dtop, fd["top"], rtol=1e-4, atol=1e-8)
-        for q in p.all():
-            assert np.allclose(q.grad, fd[q.name], rtol=1e-4, atol=1e-8), q.name
-
-
 class TestRandomizedInvariants:
     def test_invariants_hold_over_random_configs(self):
         rng = np.random.default_rng(16)
@@ -253,7 +230,7 @@ class TestRandomizedInvariants:
             assert abs(trace.align.sum() - 1.0) <= 1e-9
             assert np.all(trace.weights >= 0.0)
             assert np.all(trace.weights <= trace.align + 1e-15)
-            assert trace.window[0] >= 0 and trace.window[-1] <= S - 1
+            assert trace.window.min() >= 0 and trace.window.max() <= S - 1
 
 
 class TestLocalPBatched:
@@ -283,7 +260,7 @@ class TestLocalPBatched:
         assert not trace.valid.all()
 
         for q in p.all():
-            q.zero_grad()
+            q.grad[...] = 0.0
         for b in range(B):
             S = int(lens[b])
             c1, t1, k1 = local_p(h[b:b + 1], tops[b:b + 1, :S], lens[b:b + 1], p, D)
@@ -302,8 +279,8 @@ class TestLocalPBatched:
             assert np.all(dtops[b, S:] == 0.0)
             # and attend, the one-example form in original word order, agrees
             c2, t2, _ = attend(h[b], tops[b, S - 1::-1], p, D)
-            assert np.allclose(c2, c1[0], rtol=0, atol=1e-12)
-            assert np.array_equal(t2.window, t1.window[0, t1.valid[0]])
+            assert np.allclose(c2, c1, rtol=0, atol=1e-12)
+            assert np.array_equal(t2.window, t1.window)
         for q in p.all():
             assert np.allclose(grads[q.name], q.grad, rtol=0, atol=1e-12), q.name
 

@@ -25,10 +25,12 @@ class TestConfigFile:
         assert vals == {"hidden": "32", "batch_size": "16"}
 
     def test_unknown_key_rejected(self, tmp_path):
+        # train, the only command that reads --config, has no beam
         p = tmp_path / "cfg"
-        p.write_text("hiden = 32\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="hiden"):
-            cli.load_config_file(str(p))
+        for key in ("hiden", "beam"):
+            p.write_text(f"{key} = 3\n", encoding="utf-8")
+            with pytest.raises(ConfigError, match=key):
+                cli.load_config_file(str(p))
 
     def test_missing_equals(self, tmp_path):
         p = tmp_path / "cfg"
@@ -39,6 +41,14 @@ class TestConfigFile:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         rc = run_cli(["train", "--config", str(tmp_path / "nope")])
         assert rc == 2
+
+    def test_unparsable_value_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "cfg"
+        p.write_text("layers = abc\n", encoding="utf-8")
+        rc = run_cli(["train", "--config", str(p)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(p) in err and "layers" in err and "'abc'" in err
 
 
 class TestSynthCommand:
@@ -212,6 +222,25 @@ class TestTrainTranslateScoreSmoke:
         assert rc == 0
         assert (root / "resumed" / "checkpoint-epoch5").exists()
         assert not (root / "resumed" / "checkpoint-epoch1").exists()
+
+    def test_resume_name_without_epoch_number(self, trained, capsys):
+        root, data, out = trained
+        backup = root / "checkpoint-epoch4.bak"
+        backup.write_bytes((out / "checkpoint-epoch4").read_bytes())
+        rc = run_cli(["train",
+                      "--src1", str(data / "train-src1.txt"),
+                      "--tgt", str(data / "train-tgt.txt"),
+                      "--dev-src1", str(data / "dev-src1.txt"),
+                      "--dev-tgt", str(data / "dev-tgt.txt"),
+                      "--out", str(root / "resumed-bak"),
+                      "--mode", "single", "--attention", "local-p",
+                      "--layers", "2", "--hidden", "8", "--epochs", "5",
+                      "--batch-size", "8", "--dropout", "0", "--seed", "3",
+                      "--init-range", "0.5", "--lr", "0.5",
+                      "--resume", str(backup)])
+        assert rc == 1
+        assert "checkpoint-epoch4.bak" in capsys.readouterr().err
+        assert not (root / "resumed-bak").exists()
 
 
 class TestGradcheckCommand:

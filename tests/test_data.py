@@ -13,15 +13,12 @@ from msnmt.errors import (AlignmentError, ConfigError, CorpusIOError,
 class TestVocabulary:
     def test_reserved_ids(self):
         v = Vocabulary(RESERVED + ["cat", "dog"])
-        assert v.id_of("<pad>") == PAD == 0
-        assert v.id_of("<s>") == BOS == 1
-        assert v.id_of("</s>") == EOS == 2
-        assert v.id_of("<unk>") == UNK == 3
-        assert v.id_of("cat") == 4
+        ids = encode_line("<pad> <s> </s> <unk> cat", v, reverse=False)
+        assert ids == [PAD, BOS, EOS, UNK, 4] == [0, 1, 2, 3, 4]
 
     def test_oov_maps_to_unk(self):
         v = Vocabulary(RESERVED + ["cat"])
-        assert v.id_of("zebra") == UNK
+        assert encode_line("zebra", v, reverse=False) == [UNK]
 
     def test_missing_reserved_prefix(self):
         with pytest.raises(VocabularyError):

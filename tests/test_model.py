@@ -87,7 +87,7 @@ class TestInitParams:
             expected += n_src * (d * d + d + d * d)            # w_p, v_p, w_a
             expected += d * (1 + n_src) * d                    # output projection
         expected += V * d + V                                  # softmax
-        assert M.ModelParams(cfg).n_scalars() == expected
+        assert M.ModelParams(cfg).value.size == expected
 
     def test_every_parameter_registered_once(self):
         cfg = tiny_config("multi-childsum", "local-p")
@@ -276,7 +276,7 @@ class TestCheckpoint:
         # a Parameter given no gradient would make its own with zeros_like
         with mock.patch.object(np, "zeros_like", side_effect=AssertionError):
             _, params, _ = M.load_checkpoint(path)
-        assert params.grad.shape == (params.n_scalars(),) and not params.grad.any()
+        assert params.grad.shape == params.value.shape and not params.grad.any()
         off = 0
         for p in params.all():
             assert p.grad.ctypes.data == params.grad[off:].ctypes.data

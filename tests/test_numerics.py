@@ -83,13 +83,6 @@ class TestFiniteDifference:
 
 
 class TestParameter:
-    def test_grad_starts_zero_and_zeroes(self):
-        p = Parameter("p", np.ones((2, 2)))
-        assert np.array_equal(p.grad, np.zeros((2, 2)))
-        p.grad += 3.0
-        p.zero_grad()
-        assert np.array_equal(p.grad, np.zeros((2, 2)))
-
     def test_grad_shape_enforced(self):
         with pytest.raises(DimensionError):
             Parameter("p", np.ones(3), grad=np.zeros(4))

@@ -313,7 +313,7 @@ class TestLayerMajorEncoder:
                               layers, masks)
         grads = {q.name: q.grad.copy() for q in params}
         for q in params:
-            q.zero_grad()
+            q.grad[...] = 0.0
         ref_final, ref_top, caches = step_major_encode(ids, mask, embed, layers, masks)
         step_major_encode_backward(dfinal, dtop, ids, mask, caches, embed, layers, masks)
 

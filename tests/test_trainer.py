@@ -134,7 +134,8 @@ class TestTrainLoop:
         assert (out / "checkpoint-epoch1").exists()
         assert (out / "checkpoint-epoch2").exists()
         best = (out / "best").read_text().strip()
-        assert best == f"checkpoint-epoch{report.best_epoch()}"
+        best_epoch = min(report.epochs, key=lambda e: e.dev_ppl).epoch
+        assert best == f"checkpoint-epoch{best_epoch}"
         lines = (out / "report.tsv").read_text().splitlines()
         assert lines[0] == "epoch\tlr\ttrain-nll\tdev-ppl\tgrad-scale-rate\tseconds"
         assert len(lines) == 3
