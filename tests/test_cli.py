@@ -205,20 +205,24 @@ class TestTrainTranslateScoreSmoke:
         assert rc == 4
         assert "source" in capsys.readouterr().err
 
-    def test_resume_continues_from_checkpoint(self, trained, capsys):
-        root, data, out = trained
-        args = ["train",
+    @staticmethod
+    def resume_args(data, out_dir, checkpoint):
+        """The smoke run's training flags, one epoch further, from checkpoint."""
+        return ["train",
                 "--src1", str(data / "train-src1.txt"),
                 "--tgt", str(data / "train-tgt.txt"),
                 "--dev-src1", str(data / "dev-src1.txt"),
                 "--dev-tgt", str(data / "dev-tgt.txt"),
-                "--out", str(root / "resumed"),
+                "--out", str(out_dir),
                 "--mode", "single", "--attention", "local-p",
                 "--layers", "2", "--hidden", "8", "--epochs", "5",
                 "--batch-size", "8", "--dropout", "0", "--seed", "3",
                 "--init-range", "0.5", "--lr", "0.5",
-                "--resume", str(out / "checkpoint-epoch4")]
-        rc = run_cli(args)
+                "--resume", str(checkpoint)]
+
+    def test_resume_continues_from_checkpoint(self, trained, capsys):
+        root, data, out = trained
+        rc = run_cli(self.resume_args(data, root / "resumed", out / "checkpoint-epoch4"))
         assert rc == 0
         assert (root / "resumed" / "checkpoint-epoch5").exists()
         assert not (root / "resumed" / "checkpoint-epoch1").exists()
@@ -227,17 +231,7 @@ class TestTrainTranslateScoreSmoke:
         root, data, out = trained
         backup = root / "checkpoint-epoch4.bak"
         backup.write_bytes((out / "checkpoint-epoch4").read_bytes())
-        rc = run_cli(["train",
-                      "--src1", str(data / "train-src1.txt"),
-                      "--tgt", str(data / "train-tgt.txt"),
-                      "--dev-src1", str(data / "dev-src1.txt"),
-                      "--dev-tgt", str(data / "dev-tgt.txt"),
-                      "--out", str(root / "resumed-bak"),
-                      "--mode", "single", "--attention", "local-p",
-                      "--layers", "2", "--hidden", "8", "--epochs", "5",
-                      "--batch-size", "8", "--dropout", "0", "--seed", "3",
-                      "--init-range", "0.5", "--lr", "0.5",
-                      "--resume", str(backup)])
+        rc = run_cli(self.resume_args(data, root / "resumed-bak", backup))
         assert rc == 1
         assert "checkpoint-epoch4.bak" in capsys.readouterr().err
         assert not (root / "resumed-bak").exists()
