@@ -215,9 +215,12 @@ def cmd_train(args):
     params = None
     start_epoch = 1
     if args.resume:
-        ck_cfg, params, _meta = model_mod.load_checkpoint(args.resume)
+        ck_cfg, params, ck_meta = model_mod.load_checkpoint(args.resume)
         if ck_cfg.to_dict() != model_cfg.to_dict():
             raise CompatibilityError("resume checkpoint config does not match this run")
+        if ck_meta.get("hashes") != vocab_meta["hashes"]:
+            raise CompatibilityError(f"--resume {args.resume}: its vocabularies differ from "
+                                     "the ones built from these training files")
         base = os.path.basename(args.resume)
         epoch = re.fullmatch(r"checkpoint-epoch([0-9]+)", base)
         if epoch:
@@ -225,6 +228,9 @@ def cmd_train(args):
         elif base.startswith("checkpoint-epoch"):
             raise ConfigError(f"--resume {args.resume}: no epoch number in {base!r}; "
                               "expected checkpoint-epoch<N>")
+        if start_epoch > resolved["epochs"]:
+            raise ConfigError(f"--resume {args.resume} has trained {start_epoch - 1} epoch(s) "
+                              f"and --epochs is {resolved['epochs']}: nothing left to train")
         log(f"resuming from {args.resume} at epoch {start_epoch}")
 
     trainer_mod.train(model_cfg, train_cfg, enc_train, enc_dev, args.out,

@@ -19,12 +19,19 @@ from .data import BOS, EOS, PAD, decode_ids, encode_line, read_lines
 from .errors import AlignmentError, ConfigError, CorpusIOError
 from .model import DecodeSession
 
-# Sentences decoded together.  A larger chunk fills the per-step products
-# better, but encode_batch builds a backward tape for the whole chunk while
-# it encodes: at 128 sentences of 20-50 tokens, peak memory rose from 96 to
-# 151 MB.  Sorting by length does not raise that peak, since a chunk already
-# pads every sentence to its longest source.
-CHUNK = 16
+# Rows decoded together: a chunk holds max(1, ROWS // beam) sentences, so
+# every step's products and gate kernels run over up to ROWS rows, and their
+# fixed cost per call is spread over many.  What must stay small is the
+# encoder's work, not the step's, so a DecodeSession encodes its chunk
+# model.ENCODE_SLICE (16) sentences at a time, with no backward tape.
+# Encoding 128 sentences at once raised the benchmark's peak RSS
+# (single-none 55.2 to 59.2 MB, multi-localp-long 100.0 to 114.8 MB; with
+# the tape kept, 65.2 and 169.8 MB).  At 50 tokens its [128, T, 4d] input
+# projections alone are 13 MB a layer, and the traced heap peak of a
+# multi-localp-long translation rose to 28.8 MB.  In 16-sentence slices that
+# peak is 10.0 MB (14.8 MB with 16-sentence chunks), and peak RSS does not
+# move.
+ROWS = 128
 
 
 def default_max_len(src_lengths):
@@ -167,11 +174,11 @@ def translate_file(params, config, src_paths, out_path, vocabs, beam=8,
                    max_len=None, dump_attention=None, length_norm=True):
     """One output line per input line; optional alignment TSV
     (sentence, target_pos, encoder_id, source_pos, weight).  Non-blank lines
-    are sorted by their longest source (stably) and decoded CHUNK sentences
-    at a time; a line blank in any source stays blank.  Hypotheses and TSV
-    lines are written in input order.  Returns {"sentences", "steps",
-    "rows"}: sentences decoded, decoder steps run and rows stepped over all
-    of them."""
+    are sorted by their longest source (stably) and decoded
+    max(1, ROWS // beam) sentences at a time; a line blank in any source
+    stays blank.  Hypotheses and TSV lines are written in input order.
+    Returns {"sentences", "steps", "rows"}: sentences decoded, decoder steps
+    run and rows stepped over all of them."""
     src_vocabs, tgt_vocab = vocabs
     lines = [read_lines(p) for p in src_paths]
     if len(set(len(l) for l in lines)) != 1:
@@ -198,8 +205,9 @@ def translate_file(params, config, src_paths, out_path, vocabs, beam=8,
             except OSError as e:
                 raise CorpusIOError(f"cannot write {dump_attention}: {e}") from e
             tsv.write("sentence\ttarget_pos\tencoder_id\tsource_pos\tweight\n")
-        for start in range(0, len(todo), CHUNK):
-            chunk = todo[start:start + CHUNK]
+        size = max(1, ROWS // beam)
+        for start in range(0, len(todo), size):
+            chunk = todo[start:start + size]
             results, steps, stepped = beam_search(
                 params, config, [encoded[i] for i in chunk], beam, max_len, length_norm,
                 keep_traces=tsv is not None)

@@ -226,18 +226,21 @@ def _check_ids(ids, vocab_size, what):
         raise VocabularyError(f"{what}: token id outside vocabulary of size {vocab_size}")
 
 
-def _encode_sources(params: ModelParams, config: ModelConfig, sources, enc_masks=None):
+def _encode_sources(params: ModelParams, config: ModelConfig, sources, enc_masks=None,
+                    tape=True):
     """Encode every source and combine the encoders' final states.
 
     sources: per source, its padded reversed ids [B, T] and mask [B, T].
     enc_masks: per source, its encoder dropout masks, or None.  Returns (the
     decoder's initial states, each source's top states [B, T, d], the
-    encoder caches, the combiner cache or None in single mode)."""
+    encoder caches, the combiner cache or None in single mode).  Without
+    ``tape`` the encoders keep nothing for backward and their caches are
+    None."""
     finals, tops, caches = [], [], []
     for k, (ids, mask) in enumerate(sources):
         final, top, cache = rec_mod.encode_batch(
             ids, mask, params.src_embeds[k], params.enc_layers[k],
-            enc_masks[k] if enc_masks else None)
+            enc_masks[k] if enc_masks else None, tape)
         finals.append(final)
         tops.append(top)
         caches.append(cache)
@@ -407,14 +410,29 @@ def backward(tape, params: ModelParams):
         raise NumericError(f"non-finite gradient in {bad.name}")
 
 
+# Sentences encoded together by a DecodeSession.  Decoding steps more rows
+# than this at once (decoding.ROWS); the encoder's per-layer [B, T, 4d] input
+# projections are what must stay this small (see the comment there).
+ENCODE_SLICE = 16
+
+
+def _spread(out, part, width):
+    """Write ``part`` [m, T', ...] into the first T' columns of ``out``
+    [m * width, T, ...], each of its rows ``width`` times in a row."""
+    m = len(part)
+    out.reshape(m, width, *out.shape[1:])[:, :, :part.shape[1]] = part[:, None]
+
+
 class DecodeSession:
     """Incremental decoding of a batch of sentences over frozen parameters.
 
     ``sentences`` is a list of tuples holding one reversed id list per source.
     Each sentence owns ``width`` consecutive rows (its beam slots), so row r
     decodes sentence r // width until ``keep_rows`` drops some rows.  The
-    sources are encoded as one padded batch, and every row's top states and
-    length are gathered once, here.
+    sources are encoded without a tape, ENCODE_SLICE sentences at a time,
+    each slice padded to its own longest source.  Every row's initial states,
+    and with attention its top states and length, are written once, here;
+    without attention no source states are kept.
     """
 
     def __init__(self, params: ModelParams, config: ModelConfig, sentences, width=1):
@@ -426,12 +444,26 @@ class DecodeSession:
                 raise ConfigError("decoding an empty source sentence")
         self.params = params
         self.config = config
-        rows = np.repeat(np.arange(len(sentences)), width)
-        padded = [pad_ids([srcs[k] for srcs in sentences]) for k in range(config.n_sources)]
-        init, tops, _, _ = _encode_sources(params, config,
-                                           [(ids, mask) for ids, mask, _lens in padded])
-        self.sources = [(top[rows], lens[rows]) for top, (_, _, lens) in zip(tops, padded)]
-        self.init_states = [(h[rows], c[rows]) for h, c in init]
+        n, d = len(sentences), config.hidden
+        self.init_states = [(np.empty((n * width, d)), np.empty((n * width, d)))
+                            for _ in range(config.layers)]
+        self.sources = []
+        if config.use_attention:
+            for k in range(config.n_sources):
+                lens = np.array([len(srcs[k]) for srcs in sentences])
+                self.sources.append((np.zeros((n * width, lens.max(), d)),
+                                     np.repeat(lens, width)))
+        for start in range(0, n, ENCODE_SLICE):
+            part = sentences[start:start + ENCODE_SLICE]
+            padded = [pad_ids([srcs[k] for srcs in part]) for k in range(config.n_sources)]
+            init, tops, _, _ = _encode_sources(
+                params, config, [(ids, mask) for ids, mask, _lens in padded], tape=False)
+            rows = slice(start * width, (start + len(part)) * width)
+            for (h, c), (h0, c0) in zip(self.init_states, init):
+                _spread(h[rows], h0, width)
+                _spread(c[rows], c0, width)
+            for (all_tops, _lens), top in zip(self.sources, tops):
+                _spread(all_tops[rows], top, width)
 
     def initial(self):
         """Decoder states and a zero feed input for every row."""

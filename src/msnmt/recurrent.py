@@ -123,7 +123,7 @@ def zero_states(n_layers, batch, d):
     return [(np.zeros((batch, d)), np.zeros((batch, d))) for _ in range(n_layers)]
 
 
-def encode_batch(ids, mask, embed: Parameter, layers, dropout_masks=None):
+def encode_batch(ids, mask, embed: Parameter, layers, dropout_masks=None, tape=True):
     """Run the stacked encoder over a padded batch of reversed sources.
 
     ids: [B, T] int matrix (reversed token ids, right-padded).
@@ -131,7 +131,9 @@ def encode_batch(ids, mask, embed: Parameter, layers, dropout_masks=None):
 
     Returns (final_states, top_h [B, T, d], cache).  top_h[b, t] is the top
     hidden after consuming reversed position t; padded slots carry the last
-    real state.
+    real state.  The cache is what encode_batch_backward reads: each layer's
+    input and per-step values.  Without ``tape`` nothing is kept for it and
+    the cache is None; the states are the same bits either way.
 
     The stack runs layer-major: one layer over every timestep, then the next.
     A layer's input projection is one [B*T, d_in] x [d_in, 4d] product, so
@@ -156,17 +158,20 @@ def encode_batch(ids, mask, embed: Parameter, layers, dropout_masks=None):
                 raise DimensionError(
                     f"encode_batch: dropout mask {m.shape} vs layer {l} input {(B, x.shape[2])}")
             x = x * m[:, None, :]
-        state, hs, steps = _layer_forward(x, keep, p)
+        steps = [] if tape else None
+        state, hs = _layer_forward(x, keep, p, steps)
         final.append(state)
-        tapes.append((x, steps))
+        if tape:
+            tapes.append((x, steps))
         x = hs
-    return final, hs, (ids, keep, tapes)
+    return final, hs, (ids, keep, tapes) if tape else None
 
 
-def _layer_forward(x, keep, p: LstmParams):
+def _layer_forward(x, keep, p: LstmParams, steps=None):
     """One layer over every timestep of x [B, T, d_in].  Returns the final
-    carried (h, c), the carried hidden states [B, T, d] (the next layer's
-    input, or top_h) and per step (h_prev, c_prev, gates, tanh(c))."""
+    carried (h, c) and the carried hidden states [B, T, d] (the next layer's
+    input, or top_h).  A ``steps`` list gets (h_prev, c_prev, gates, tanh(c))
+    per step, for the backward pass."""
     B, T, d_in = x.shape
     d = p.hidden_size
     if d_in != p.input_size:
@@ -176,17 +181,17 @@ def _layer_forward(x, keep, p: LstmParams):
     h = np.zeros((B, d))
     c = np.zeros((B, d))
     hs = np.empty((B, T, d))
-    steps = []
     for t in range(T):
         z = zx[:, t] + h @ w_hT
         z += p.b.value
         gates, c_new, tc, h_new = kernels.gates_forward(z, c)
-        steps.append((h, c, gates, tc))
+        if steps is not None:
+            steps.append((h, c, gates, tc))
         m, carry = keep[t]
         h = m * h_new + carry * h
         c = m * c_new + carry * c
         hs[:, t] = h
-    return (h, c), hs, steps
+    return (h, c), hs
 
 
 def encode_batch_backward(dfinal, dtop_h, cache, embed: Parameter, layers,

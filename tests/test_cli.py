@@ -206,16 +206,16 @@ class TestTrainTranslateScoreSmoke:
         assert "source" in capsys.readouterr().err
 
     @staticmethod
-    def resume_args(data, out_dir, checkpoint):
+    def resume_args(data, out_dir, checkpoint, epochs=5, train="train-"):
         """The smoke run's training flags, one epoch further, from checkpoint."""
         return ["train",
-                "--src1", str(data / "train-src1.txt"),
-                "--tgt", str(data / "train-tgt.txt"),
+                "--src1", str(data / f"{train}src1.txt"),
+                "--tgt", str(data / f"{train}tgt.txt"),
                 "--dev-src1", str(data / "dev-src1.txt"),
                 "--dev-tgt", str(data / "dev-tgt.txt"),
                 "--out", str(out_dir),
                 "--mode", "single", "--attention", "local-p",
-                "--layers", "2", "--hidden", "8", "--epochs", "5",
+                "--layers", "2", "--hidden", "8", "--epochs", str(epochs),
                 "--batch-size", "8", "--dropout", "0", "--seed", "3",
                 "--init-range", "0.5", "--lr", "0.5",
                 "--resume", str(checkpoint)]
@@ -235,6 +235,30 @@ class TestTrainTranslateScoreSmoke:
         assert rc == 1
         assert "checkpoint-epoch4.bak" in capsys.readouterr().err
         assert not (root / "resumed-bak").exists()
+
+    def test_resume_with_no_epochs_left(self, trained, capsys):
+        root, data, out = trained
+        rc = run_cli(self.resume_args(data, root / "resumed-none", out / "checkpoint-epoch4",
+                                      epochs=3))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "trained 4 epoch(s)" in err and "--epochs is 3" in err
+        assert not (root / "resumed-none").exists()
+
+    def test_resume_with_changed_vocabulary(self, trained, capsys):
+        """A corpus with one token swapped for a new one keeps every
+        vocabulary size, so only the hashes tell the vocabularies apart."""
+        root, data, out = trained
+        for side in ("src1", "tgt"):
+            text = (data / f"train-{side}.txt").read_text(encoding="utf-8")
+            assert " w3 " in text and "w9" not in text
+            (data / f"swapped-{side}.txt").write_text(re.sub(r"\bw3\b", "w9", text),
+                                                      encoding="utf-8")
+        rc = run_cli(self.resume_args(data, root / "resumed-swap", out / "checkpoint-epoch4",
+                                      train="swapped-"))
+        assert rc == 4
+        assert "vocabularies differ" in capsys.readouterr().err
+        assert not (root / "resumed-swap").exists()
 
 
 class TestGradcheckCommand:

@@ -250,6 +250,33 @@ class TestStopRule:
         assert (steps, rows) == (10, 4 * closes + 2 * (10 - closes))
 
 
+class TestDecodeSession:
+    SENTENCES = [(s, s[::-1][:2]) for s in ([4 + k % 8] * (1 + k % 7) for k in range(20))]
+
+    @pytest.mark.parametrize("attention", ["none", "local-p"])
+    def test_slices_match_encoding_each_slice(self, attention):
+        cfg = small_cfg("multi-childsum", attention=attention)
+        params = init_params(cfg, 25, 0.5)
+        width = 3
+        sess = DecodeSession(params, cfg, self.SENTENCES, width)
+        for start in (0, M.ENCODE_SLICE):
+            part = self.SENTENCES[start:start + M.ENCODE_SLICE]
+            padded = [M.pad_ids([srcs[k] for srcs in part]) for k in range(2)]
+            init, tops, _, _ = M._encode_sources(params, cfg, [p[:2] for p in padded])
+            rows = np.arange(start * width, (start + len(part)) * width)
+            for (h, c), (h0, c0) in zip(sess.init_states, init):
+                assert np.array_equal(h[rows], np.repeat(h0, width, axis=0))
+                assert np.array_equal(c[rows], np.repeat(c0, width, axis=0))
+            for (all_tops, lens), top, (_, _, want_lens) in zip(sess.sources, tops, padded):
+                assert np.array_equal(all_tops[rows, :top.shape[1]],
+                                      np.repeat(top, width, axis=0))
+                assert np.array_equal(lens[rows], np.repeat(want_lens, width))
+        # without attention no source states are kept, so none are copied
+        assert len(sess.sources) == (2 if attention == "local-p" else 0)
+        sess.keep_rows(np.array([0, 3, 5]))
+        assert [len(lens) for _, lens in sess.sources] == [3] * len(sess.sources)
+
+
 class TestTranslateFile:
     def _vocab(self):
         return Vocabulary(RESERVED + [f"w{k}" for k in range(8)])
@@ -313,7 +340,34 @@ class TestTranslateFile:
         stats = translate_file(params, cfg, self._reverse_length_files(tmp_path),
                                str(tmp_path / "out"), ([v, v], v), beam=4)
         assert stats["rows"] == sum(seen) and stats["steps"] == len(seen)
-        assert max(seen) == decoding.CHUNK * 4 and min(seen) < 4 * 4
+        # one chunk: 20 sentences fit in ROWS // 4; closed sentences' rows drop
+        assert max(seen) == 20 * 4 <= decoding.ROWS and min(seen) < 4 * 4
+
+    def test_encoder_slices_stay_small_while_steps_fill(self, tmp_path, monkeypatch):
+        """Greedy decoding steps many rows at once, but the encoder never
+        sees more than ENCODE_SLICE sentences in one call."""
+        cfg = small_cfg()
+        params = init_params(cfg, 24, 0.5)
+        v = self._vocab()
+        src = tmp_path / "src"
+        src.write_text("".join(" ".join(f"w{(k + n) % 8}" for k in range(1 + n % 9)) + "\n"
+                               for n in range(40)), encoding="utf-8")
+        encoded, stepped = [], []
+        encode, step = M.rec_mod.encode_batch, M.DecodeSession.step
+
+        def counting_encode(ids, *args, **kwargs):
+            encoded.append(len(ids))
+            return encode(ids, *args, **kwargs)
+
+        def counting_step(sess, states, htilde, tokens):
+            stepped.append(len(tokens))
+            return step(sess, states, htilde, tokens)
+
+        monkeypatch.setattr(M.rec_mod, "encode_batch", counting_encode)
+        monkeypatch.setattr(M.DecodeSession, "step", counting_step)
+        translate_file(params, cfg, [str(src)], str(tmp_path / "out"), ([v], v), beam=1)
+        assert encoded == [M.ENCODE_SLICE, M.ENCODE_SLICE, 8]
+        assert max(stepped) == 40 > M.ENCODE_SLICE
 
     def test_outputs_in_input_order(self, tmp_path):
         cfg = small_cfg("multi-basic")
@@ -381,13 +435,14 @@ class TestDecodeFixture:
 
 
 class TestChunkedDecoding:
-    """translate_file decodes CHUNK sentences at a time; the result must be
-    the one it gives one sentence at a time.  Rows of a BLAS product can
-    differ in the last bits with the number of rows, so attention weights
-    are compared to 1e-6."""
+    """translate_file decodes max(1, ROWS // beam) sentences at a time; the
+    result must be the one it gives one sentence at a time.  Rows of a BLAS
+    product can differ in the last bits with the number of rows, so
+    attention weights are compared to 1e-6."""
 
     # 20 non-blank lines of 1-12 tokens (so the default caps differ within a
-    # chunk and the second chunk holds 4), with blank lines in the middle
+    # chunk; at beam 8 the second chunk holds 4, and at beams 1 and 4 the one
+    # chunk is encoded in slices of 16 and 4), with blank lines in the middle
     LENGTHS = [3, 1, 12, 5, 2, 9, 7, 4, 11, 6, 1, 8, 10, 3, 2, 12, 5, 4, 9, 6]
 
     def _files(self, tmp_path, n_sources):
@@ -429,7 +484,7 @@ class TestChunkedDecoding:
             args = (params, cfg, paths)
             kw = dict(vocabs=([src_vocab] * n, tgt_vocab), beam=beam, max_len=max_len)
             hyp, (header, rows) = self._translate(tmp_path, "chunked", *args, **kw)
-            monkeypatch.setattr(decoding, "CHUNK", 1)
+            monkeypatch.setattr(decoding, "ROWS", 1)
             want_hyp, (want_header, want_rows) = self._translate(tmp_path, "single", *args, **kw)
             monkeypatch.undo()
             lines = hyp.split("\n")

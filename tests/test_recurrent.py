@@ -325,6 +325,25 @@ class TestLayerMajorEncoder:
             assert np.abs(q.grad).max() > 0.0, q.name
             assert np.allclose(grads[q.name], q.grad, rtol=0, atol=1e-12), q.name
 
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_without_tape_same_states_and_no_cache(self, dropout):
+        rng = np.random.default_rng(38 + dropout)
+        d, V, B = 5, 11, 6
+        lens = np.array([1, 7, 3, 7, 2, 5])
+        T = int(lens.max())
+        mask = (np.arange(T) < lens[:, None]).astype(float)
+        ids = np.where(mask > 0, rng.integers(1, V, size=(B, T)), 0)
+        embed = Parameter("emb", rng.uniform(-0.5, 0.5, (V, d)))
+        layers = [make_lstm(f"l{i}", d, d, rng) for i in range(2)]
+        masks = [(rng.random((B, d)) >= 0.3) / 0.7 for _ in range(2)] if dropout else None
+        final, top, cache = encode_batch(ids, mask, embed, layers, masks)
+        bare_final, bare_top, bare_cache = encode_batch(ids, mask, embed, layers, masks,
+                                                        tape=False)
+        assert bare_cache is None and cache is not None
+        assert np.array_equal(bare_top, top)
+        for (h, c), (bh, bc) in zip(final, bare_final):
+            assert np.array_equal(bh, h) and np.array_equal(bc, c)
+
     def test_dropout_mask_shape_mismatch(self):
         rng = np.random.default_rng(37)
         embed = Parameter("emb", rng.uniform(-0.5, 0.5, (9, 3)))
