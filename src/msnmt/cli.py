@@ -19,7 +19,8 @@ from . import model as model_mod
 from . import synth as synth_mod
 from . import trainer as trainer_mod
 from .data import Vocabulary
-from .errors import CompatibilityError, ConfigError, CorpusIOError, MsnmtError
+from .errors import (CompatibilityError, ConfigError, CorpusIOError, MsnmtError,
+                     VocabularyError)
 
 
 def log(msg):
@@ -239,10 +240,28 @@ def cmd_train(args):
     return 0
 
 
-def _vocabs_from_meta(meta):
-    if not meta or "src" not in meta:
+def _token_list(tokens, size):
+    return (isinstance(tokens, list) and len(tokens) == size
+            and all(isinstance(t, str) for t in tokens))
+
+
+def _vocabs_from_meta(meta, config):
+    """The checkpoint's source and target vocabularies: one list of strings
+    per side, each as long as its config says."""
+    if not isinstance(meta, dict) or "src" not in meta:
         raise CompatibilityError("checkpoint carries no vocabulary")
-    return [Vocabulary(t) for t in meta["src"]], Vocabulary(meta["tgt"])
+    src, tgt = meta["src"], meta.get("tgt")
+    sizes = config.src_vocab_sizes
+    if not (isinstance(src, list) and len(src) == len(sizes)
+            and all(map(_token_list, src, sizes))
+            and _token_list(tgt, config.tgt_vocab_size)):
+        raise CompatibilityError(
+            "checkpoint vocabulary is not one token list per side of the sizes its "
+            f"config gives (source {list(sizes)}, target {config.tgt_vocab_size})")
+    try:
+        return [Vocabulary(t) for t in src], Vocabulary(tgt)
+    except VocabularyError as e:
+        raise CompatibilityError(f"checkpoint vocabulary: {e}") from e
 
 
 def cmd_translate(args):
@@ -252,7 +271,7 @@ def cmd_translate(args):
         raise CompatibilityError(
             f"checkpoint is {config.mode} ({config.n_sources} source(s)) but "
             f"{len(src_paths)} source file(s) were given")
-    src_vocabs, tgt_vocab = _vocabs_from_meta(meta)
+    src_vocabs, tgt_vocab = _vocabs_from_meta(meta, config)
     t0 = time.perf_counter()
     stats = dec_mod.translate_file(params, config, src_paths, args.out,
                                    (src_vocabs, tgt_vocab), beam=args.beam,

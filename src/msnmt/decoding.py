@@ -30,7 +30,8 @@ from .model import DecodeSession
 # projections alone are 13 MB a layer, and the traced heap peak of a
 # multi-localp-long translation rose to 28.8 MB.  In 16-sentence slices that
 # peak is 10.0 MB (14.8 MB with 16-sentence chunks), and peak RSS does not
-# move.
+# move.  These RSS figures were measured under glibc's dynamic malloc
+# thresholds, before training fixed them (heap.keep_freed_heap).
 ROWS = 128
 
 
@@ -176,9 +177,10 @@ def translate_file(params, config, src_paths, out_path, vocabs, beam=8,
     (sentence, target_pos, encoder_id, source_pos, weight).  Non-blank lines
     are sorted by their longest source (stably) and decoded
     max(1, ROWS // beam) sentences at a time; a line blank in any source
-    stays blank.  Hypotheses and TSV lines are written in input order.
-    Returns {"sentences", "steps", "rows"}: sentences decoded, decoder steps
-    run and rows stepped over all of them."""
+    stays blank.  Hypotheses and TSV lines are written in input order, each
+    line's as soon as every earlier input line is done.  Returns
+    {"sentences", "steps", "rows"}: sentences decoded, decoder steps run and
+    rows stepped over all of them."""
     src_vocabs, tgt_vocab = vocabs
     lines = [read_lines(p) for p in src_paths]
     if len(set(len(l) for l in lines)) != 1:
@@ -189,9 +191,18 @@ def translate_file(params, config, src_paths, out_path, vocabs, beam=8,
     encoded = {i: tuple(encode_line(r, v, reverse=True) for r, v in zip(rows[i], src_vocabs))
                for i in todo}
     todo.sort(key=lambda i: max(map(len, encoded[i])))
-    hyps = [""] * len(rows)
-    alignments = [""] * len(rows)
     stats = {"sentences": len(todo), "steps": 0, "rows": 0}
+    done = {}   # input line -> (hypothesis, TSV lines), until it is written
+    written = 0
+
+    def write_ready():
+        nonlocal written
+        while written < len(rows) and (written in done or written not in encoded):
+            hyp, tsv_lines = done.pop(written, ("", ""))
+            out.write(hyp + "\n")
+            if tsv is not None:
+                tsv.write(tsv_lines)
+            written += 1
 
     tsv = None
     try:
@@ -214,16 +225,13 @@ def translate_file(params, config, src_paths, out_path, vocabs, beam=8,
             stats["steps"] += steps
             stats["rows"] += stepped
             for i, (toks, _score, traces) in zip(chunk, results):
-                hyps[i] = " ".join(decode_ids(toks, tgt_vocab))
-                if tsv is not None:
-                    alignments[i] = "".join(
-                        f"{i}\t{tpos}\t{k}\t{int(s)}\t{w:.6f}\n"
-                        for tpos, per_source in enumerate(traces)
-                        for k, trace in enumerate(per_source)
-                        for s, w in zip(trace.window[trace.valid], trace.weights[trace.valid]))
-        out.writelines(h + "\n" for h in hyps)
-        if tsv is not None:
-            tsv.writelines(alignments)
+                done[i] = (" ".join(decode_ids(toks, tgt_vocab)), "".join(
+                    f"{i}\t{tpos}\t{k}\t{int(s)}\t{w:.6f}\n"
+                    for tpos, per_source in enumerate(traces)
+                    for k, trace in enumerate(per_source)
+                    for s, w in zip(trace.window[trace.valid], trace.weights[trace.valid])))
+            write_ready()
+        write_ready()   # when no line was decoded
     finally:
         out.close()
         if tsv is not None:

@@ -93,24 +93,25 @@ class ModelConfig:
 class ModelParams:
     """All learned weights, each registered exactly once by name.
 
-    ``value`` and ``grad`` are two flat float64 vectors, zero at first.  Each
-    Parameter's value and grad are views of them, laid end to end in
-    registry order: the layout of a checkpoint body.  So one numpy call
-    scales, steps or zeroes every weight."""
+    ``value`` is one flat float64 vector, zero at first.  Each Parameter's
+    value is a view of it, laid end to end in registry order: the layout of
+    a checkpoint body.  ``grad``, a second vector in the same layout, exists
+    from ``add_grads`` on, which a build with ``grads`` calls; until then it
+    and every Parameter's grad are None, so a model loaded to translate
+    holds no gradient storage.  One numpy call scales, steps or zeroes
+    every weight."""
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, grads=True):
         self.config = config
         self.registry = {}
         sizes = []
         self._build(lambda name, shape: sizes.append(math.prod(shape)))  # measure only
-        n = sum(sizes)
-        # value and grad share one allocation.  Allocated apart, freeing the
-        # pair took glibc past its trim threshold, so every later checkpoint
-        # load faulted all its pages back in (+1.3 ms for a 2.5 MB model)
-        both = np.zeros(2 * n)
-        self.value, self.grad = both[:n], both[n:]
+        self.value = np.zeros(sum(sizes))
+        self.grad = None
         self._end = 0
         self._build(self._new)
+        if grads:
+            self.add_grads()
 
     def _build(self, new):
         """Make every Parameter with ``new(name, shape)``, in registry order."""
@@ -170,10 +171,21 @@ class ModelParams:
         if name in self.registry:
             raise ConfigError(f"duplicate parameter name {name}")
         start, self._end = self._end, self._end + math.prod(shape)
-        p = Parameter(name, self.value[start:self._end].reshape(shape),
-                      self.grad[start:self._end].reshape(shape))
+        p = Parameter(name, self.value[start:self._end].reshape(shape), grad=None)
         self.registry[name] = p
         return p
+
+    def add_grads(self):
+        """Give every Parameter a zero gradient, a view of one flat vector
+        laid out like ``value``.  Does nothing if they have one."""
+        if self.grad is not None:
+            return
+        self.grad = np.zeros_like(self.value)
+        start = 0
+        for p in self.registry.values():
+            end = start + p.value.size
+            p.grad = self.grad[start:end].reshape(p.value.shape)
+            start = end
 
     def all(self):
         return list(self.registry.values())
@@ -291,11 +303,14 @@ def decoder_step(params: ModelParams, config: ModelConfig, tokens, states, htild
 
 
 def forward_loss(batch, params: ModelParams, config: ModelConfig,
-                 train_mode=False, rng=None):
+                 train_mode=False, rng=None, tape=True):
     """Teacher-forced negative log-likelihood over a batch.
 
     Returns (total_nll, predicted_tokens, tape).  Masked target positions
-    contribute zero loss and are excluded from predicted_tokens.
+    contribute zero loss and are excluded from predicted_tokens.  Without
+    ``tape`` (dev evaluation) nothing is kept for backward: the encoders
+    keep no caches, no step's cache outlives the step, no probabilities are
+    formed, and the tape returned is None.  The loss is the same bits.
     """
     B = batch.size
     d = config.hidden
@@ -313,7 +328,7 @@ def forward_loss(batch, params: ModelParams, config: ModelConfig,
     masks = make_dropout_masks(config, params, B, rng) if (train_mode and rng is not None) else None
 
     dec_states, enc_tops, enc_caches, comb_cache = _encode_sources(
-        params, config, sources, masks["enc"] if masks else None)
+        params, config, sources, masks["enc"] if masks else None, tape)
 
     if config.use_attention and min(l.min() for l in lens) < 1:
         raise ConfigError("attention over an empty source sentence")
@@ -333,14 +348,16 @@ def forward_loss(batch, params: ModelParams, config: ModelConfig,
         if not np.isfinite(nll_t):
             raise NumericError(f"non-finite loss at decoder step {t}")
         total_nll += nll_t
-        step.update(probs=np.exp(logp), gold=gold, mask=m)
-        step_tapes.append(step)
+        if tape:
+            step.update(probs=np.exp(logp), gold=gold, mask=m)
+            step_tapes.append(step)
 
-    tape = {"batch": batch, "config": config, "masks": masks,
-            "enc_caches": enc_caches, "comb_cache": comb_cache,
-            "enc_tops_shape": [th.shape for th in enc_tops],
-            "steps": step_tapes}
-    return total_nll, batch.n_predicted, tape
+    if not tape:
+        return total_nll, batch.n_predicted, None
+    return total_nll, batch.n_predicted, {
+        "batch": batch, "config": config, "masks": masks,
+        "enc_caches": enc_caches, "comb_cache": comb_cache,
+        "enc_tops_shape": [th.shape for th in enc_tops], "steps": step_tapes}
 
 
 def backward(tape, params: ModelParams):
@@ -520,8 +537,9 @@ def load_checkpoint(path):
     """Returns (config, params, vocab_meta); round-trip is bit-exact.
 
     The header must describe exactly the layout its config builds; the body
-    is then read straight into the value vector.  A file that ends early or
-    whose header does not match is refused."""
+    is then read straight into the value vector.  A file that ends early,
+    whose header does not match or whose weights are not all finite is
+    refused.  The params hold no gradient storage (``add_grads`` makes it)."""
     try:
         with open(path, "rb") as f:
             magic = f.read(len(CKPT_MAGIC))
@@ -533,7 +551,7 @@ def load_checkpoint(path):
             try:
                 header = json.loads(f.read(hlen).decode("utf-8"))
                 config = ModelConfig.from_dict(header["config"])
-                params = ModelParams(config)
+                params = ModelParams(config, grads=False)
                 saved = {m["name"]: m for m in header["params"]}
                 if set(saved) != set(params.registry):
                     raise CompatibilityError(f"{path}: parameter names do not match its config")
@@ -548,4 +566,7 @@ def load_checkpoint(path):
                 raise CompatibilityError(f"{path}: truncated body")
     except OSError as e:
         raise CorpusIOError(f"cannot read checkpoint {path}: {e}") from e
+    if not np.isfinite(params.value).all():
+        bad = next(p for p in params.all() if not np.isfinite(p.value).all())
+        raise CompatibilityError(f"{path}: non-finite weights in {bad.name}")
     return config, params, header.get("vocab", {})

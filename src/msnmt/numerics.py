@@ -12,17 +12,22 @@ import numpy as np
 from .errors import ConfigError, DimensionError, NumericError
 
 
+# the default gradient of a Parameter: a zero array of its own
+_OWN_ZEROS = object()
+
+
 class Parameter:
     """A named weight with a same-shaped gradient accumulator.
 
-    ModelParams passes in views of its flat value and gradient vectors; a
-    standalone Parameter gets a zero gradient of its own.
+    A standalone Parameter gets a zero gradient of its own.  ModelParams
+    passes in a view of its flat value vector and ``grad=None``; its
+    ``add_grads`` later points ``grad`` at a view of its gradient vector.
     """
 
-    def __init__(self, name, value, grad=None):
-        if grad is None:
+    def __init__(self, name, value, grad=_OWN_ZEROS):
+        if grad is _OWN_ZEROS:
             grad = np.zeros_like(value)
-        elif grad.shape != value.shape:
+        elif grad is not None and grad.shape != value.shape:
             raise DimensionError(
                 f"{name}: grad shape {grad.shape} != value shape {value.shape}"
             )

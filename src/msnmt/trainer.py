@@ -16,6 +16,7 @@ import numpy as np
 
 from . import blas
 from . import data as data_mod
+from . import heap
 from . import model as model_mod
 from .errors import ConfigError, CorpusIOError, NumericError
 from .rngs import rng_stream
@@ -113,7 +114,7 @@ def sgd_step(params, lr):
 def _eval_nll(batches, params, config):
     total, ntok = 0.0, 0
     for b in batches:
-        nll, n, _ = model_mod.forward_loss(b, params, config, train_mode=False)
+        nll, n, _ = model_mod.forward_loss(b, params, config, train_mode=False, tape=False)
         total += nll
         ntok += n
     return total, ntok
@@ -131,11 +132,18 @@ def train(model_cfg: model_mod.ModelConfig, train_cfg: TrainConfig,
     train_tuples / dev_tuples: lists of (src1_ids, [src2_ids,] tgt_ids) with
     sources already reversed.  Writes checkpoint-epochN, a `best` marker and
     report.tsv into out_dir; returns (report, params).
+
+    One backward tape is alive at a time: each batch's is dropped once its
+    backward pass returns, and dev evaluation keeps none.  The heap that
+    frees is kept for the next batch (heap.keep_freed_heap, which holds for
+    the rest of the process).
     """
     train_cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
     if params is None:
         params = model_mod.init_params(model_cfg, train_cfg.seed, train_cfg.init_range)
+    params.add_grads()  # a loaded checkpoint (--resume) has none
+    heap.keep_freed_heap()
     report = TrainReport()
     report_path = os.path.join(out_dir, "report.tsv")
     dev_batches = data_mod.batchify(dev_tuples, train_cfg.batch_size,
@@ -158,6 +166,7 @@ def train(model_cfg: model_mod.ModelConfig, train_cfg: TrainConfig,
                 nll, ntok, tape = model_mod.forward_loss(
                     batch, params, model_cfg, train_mode=True, rng=drop_rng)
                 model_mod.backward(tape, params)
+                del tape
                 params.grad /= batch.size
                 scale, gnorm = clip_rescale(params, train_cfg.clip_threshold)
                 if scale < 1.0:

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 
@@ -319,6 +320,54 @@ class TestTranslateErrors:
                       "--out", str(tmp_path / "t.txt")])
         assert rc == 4
         assert "header length" in capsys.readouterr().err
+
+    @staticmethod
+    def _translate_fixture(tmp_path, edit):
+        """Translate the decode fixture with its checkpoint's header and
+        body passed through ``edit(header, body)``."""
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures", "decode")
+        raw = open(os.path.join(fixture, "model.ckpt"), "rb").read()
+        start = len(M.CKPT_MAGIC) + 8
+        hlen = int.from_bytes(raw[len(M.CKPT_MAGIC):start], "little")
+        header, body = json.loads(raw[start:start + hlen]), raw[start + hlen:]
+        header, body = edit(header, body)
+        new = json.dumps(header, sort_keys=True).encode("utf-8")
+        damaged = tmp_path / "damaged"
+        damaged.write_bytes(M.CKPT_MAGIC + len(new).to_bytes(8, "little") + new + body)
+        return run_cli(["translate", "--checkpoint", str(damaged),
+                        "--src1", os.path.join(fixture, "src1.txt"),
+                        "--src2", os.path.join(fixture, "src2.txt"),
+                        "--out", str(tmp_path / "t.txt")])
+
+    def test_nan_weights_exit_code(self, tmp_path, capsys):
+        nan = np.full(1, np.nan).tobytes()
+        rc = self._translate_fixture(tmp_path, lambda h, body: (h, nan * (len(body) // 8)))
+        assert rc == 4
+        assert "non-finite weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vocab", [
+        {"src": [1, 2]},
+        {"src": [[1, 2], [3, 4]]},
+        "src",
+        {"tgt": None},
+        {"tgt": ["<pad>", "<s>"]},
+        "reserved tokens swapped",
+    ], ids=["src-numbers", "src-number-lists", "not-a-mapping", "no-tgt", "tgt-too-short",
+            "reserved-swapped"])
+    def test_malformed_vocabulary_exit_code(self, tmp_path, capsys, vocab):
+        def edit(header, body):
+            if isinstance(vocab, dict):
+                header["vocab"].update(vocab)
+            elif vocab == "reserved tokens swapped":
+                tgt = header["vocab"]["tgt"]
+                tgt[0], tgt[1] = tgt[1], tgt[0]
+            else:
+                header["vocab"] = vocab
+            return header, body
+
+        rc = self._translate_fixture(tmp_path, edit)
+        assert rc == 4
+        assert "vocabulary" in capsys.readouterr().err
 
     def test_unwritable_dump_path_exit_code(self, trained, capsys):
         root, data, out = trained

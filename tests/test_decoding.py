@@ -293,6 +293,18 @@ class TestTranslateFile:
         assert len(lines) == 4 and lines[3] == ""
         assert lines[1] == ""  # blank input stays blank
 
+    def test_only_blank_lines(self, tmp_path):
+        cfg = small_cfg()
+        v = self._vocab()
+        src = tmp_path / "src"
+        src.write_text("\n  \n\n", encoding="utf-8")
+        out, att = tmp_path / "out", tmp_path / "att.tsv"
+        stats = translate_file(init_params(cfg, 19, 0.4), cfg, [str(src)], str(out), ([v], v),
+                               beam=2, dump_attention=str(att))
+        assert stats["sentences"] == 0
+        assert out.read_text(encoding="utf-8") == "\n\n\n"
+        assert att.read_text(encoding="utf-8").count("\n") == 1
+
     def test_attention_dump_schema(self, tmp_path):
         cfg = small_cfg("multi-basic")
         params = init_params(cfg, 20, 0.4)

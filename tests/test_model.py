@@ -177,6 +177,17 @@ class TestForwardLoss:
         b, _, _ = M.forward_loss(batch, params, cfg, train_mode=False)
         assert a == b
 
+    @pytest.mark.parametrize("mode,attention", [
+        ("single", "none"), ("multi-basic", "local-p"), ("multi-childsum", "local-p")])
+    def test_without_tape_same_bits_and_no_tape(self, mode, attention):
+        cfg = tiny_config(mode, attention)
+        params = M.init_params(cfg, 8, 0.4)
+        batch = gc.make_toy_batch(cfg, 6, 1)
+        nll, ntok, tape = M.forward_loss(batch, params, cfg)
+        nll_bare, ntok_bare, none = M.forward_loss(batch, params, cfg, tape=False)
+        assert tape is not None and none is None
+        assert (nll_bare, ntok_bare) == (nll, ntok)
+
     def test_out_of_vocab_target(self):
         cfg = tiny_config()
         params = M.ModelParams(cfg)
@@ -269,18 +280,30 @@ class TestCheckpoint:
             assert got.dtype == p.value.dtype
             assert np.array_equal(got, p.value)
 
-    def test_load_allocates_one_gradient_vector(self, tmp_path):
+    def test_load_holds_no_gradient_until_add_grads(self, tmp_path):
         cfg = tiny_config("multi-basic", "local-p")
         path = str(tmp_path / "ck")
         M.save_checkpoint(path, cfg, M.init_params(cfg, 3, 0.1))
         # a Parameter given no gradient would make its own with zeros_like
         with mock.patch.object(np, "zeros_like", side_effect=AssertionError):
             _, params, _ = M.load_checkpoint(path)
+        assert params.grad is None
+        assert all(p.grad is None for p in params.all())
+        # it still translates
+        sess = M.DecodeSession(params, cfg, [([4, 5, 6], [7, 8])])
+        states, htilde = sess.initial()
+        _, _, logp, _ = sess.step(states, htilde, np.array([data_mod.BOS]))
+        assert np.isfinite(logp).all()
+        # training's add_grads makes one zero vector, laid out like value
+        params.add_grads()
         assert params.grad.shape == params.value.shape and not params.grad.any()
         off = 0
         for p in params.all():
             assert p.grad.ctypes.data == params.grad[off:].ctypes.data
             off += p.grad.size
+        before = params.grad
+        params.add_grads()
+        assert params.grad is before
 
     def test_new_params_stay_zero_after_a_load(self, tmp_path):
         # a ModelParams built after a load starts at zero, also where the
@@ -359,6 +382,17 @@ class TestCheckpoint:
         self._rewrite_header(path, lambda h: h["config"].update(dtype="float32"))
         with pytest.raises(CompatibilityError, match="float64") as e:
             M.load_checkpoint(str(path))
+        assert e.value.exit_code == 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_weights_refused(self, tmp_path, bad):
+        cfg = tiny_config("multi-basic", "local-p")
+        params = M.init_params(cfg, 2, 0.1)
+        params.attn[1].v_p.value[3] = bad
+        path = str(tmp_path / "ck")
+        M.save_checkpoint(path, cfg, params)
+        with pytest.raises(CompatibilityError, match="non-finite weights in attn1.v_p") as e:
+            M.load_checkpoint(path)
         assert e.value.exit_code == 4
 
 

@@ -1,5 +1,7 @@
+import gc
 import math
 import os
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -168,6 +170,49 @@ class TestTrainLoop:
 
         for name, p in params_full.registry.items():
             assert np.array_equal(p.value, params_resumed.registry[name].value), name
+
+    def test_one_tape_alive_at_a_time(self, tmp_path):
+        """When a forward pass starts, no earlier batch's tape is reachable
+        (training or dev), without help from the cycle collector."""
+        class Marker:
+            pass
+
+        real = M.forward_loss
+        alive, calls = [], []
+
+        def spy(batch, params, config, train_mode=False, rng=None, tape=True):
+            assert all(ref() is None for ref in alive), "an earlier tape is still reachable"
+            nll, ntok, got = real(batch, params, config, train_mode, rng, tape)
+            calls.append((train_mode, got is None))
+            if got is not None:
+                got["marker"] = marker = Marker()
+                alive.append(weakref.ref(marker))
+            return nll, ntok, got
+
+        model_cfg = small_model_cfg("multi-basic", "local-p")
+        train_cfg = TrainConfig(epochs=2, batch_size=4, init_range=0.3, seed=11)
+        tuples = copy_tuples(10, 2, seed=12)
+        gc.disable()
+        try:
+            with mock.patch.object(T.model_mod, "forward_loss", spy):
+                train(model_cfg, train_cfg, tuples, tuples[:6], str(tmp_path))
+        finally:
+            gc.enable()
+        # per epoch 3 training batches with a tape, then 2 dev batches without
+        assert calls == 2 * ([(True, False)] * 3 + [(False, True)] * 2)
+
+    def test_resumed_params_get_gradients(self, tmp_path):
+        model_cfg = small_model_cfg()
+        train_cfg = TrainConfig(epochs=1, batch_size=4, init_range=0.3, seed=13)
+        tuples = copy_tuples(8, 1, seed=14)
+        params = M.init_params(model_cfg, 1, 0.3)
+        M.save_checkpoint(str(tmp_path / "ck"), model_cfg, params)
+        _, loaded, _ = M.load_checkpoint(str(tmp_path / "ck"))
+        assert loaded.grad is None
+        _, trained = train(model_cfg, train_cfg, tuples, tuples[:4], str(tmp_path / "r"),
+                           params=loaded)
+        assert trained is loaded and loaded.grad is not None
+        assert not np.array_equal(loaded.value, params.value)
 
     def test_overfits_single_batch(self, tmp_path):
         model_cfg = small_model_cfg("single", "local-p")
