@@ -2,7 +2,8 @@
 
 Config values come from a flat `key = value` file (--config) overridden by
 command-line flags.  All logs go to stderr; data goes to files or stdout.
-Exit codes: 0 success, 1 validation, 2 I/O, 3 numeric, 4 compatibility.
+Exit codes: 0 success, 1 validation, 2 I/O (or a decoding worker process that
+died), 3 numeric, 4 compatibility.
 """
 
 import argparse

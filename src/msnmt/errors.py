@@ -1,7 +1,8 @@
 """Error hierarchy shared by all modules.
 
 Every error carries an ``exit_code`` so the CLI can map failures onto its
-documented exit statuses (1 validation, 2 I/O, 3 numeric, 4 compatibility).
+documented exit statuses (1 validation, 2 I/O or a lost worker process,
+3 numeric, 4 compatibility).
 """
 
 
@@ -35,6 +36,13 @@ class CorpusIOError(MsnmtError):
 
 class AlignmentError(MsnmtError):
     """Parallel files whose line counts disagree."""
+
+    exit_code = 2
+
+
+class WorkerError(MsnmtError):
+    """A worker process died before returning its result (killed by a
+    signal or by the OOM killer, or exited early)."""
 
     exit_code = 2
 

@@ -10,6 +10,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -93,20 +94,19 @@ class ModelConfig:
 class ModelParams:
     """All learned weights, each registered exactly once by name.
 
-    ``value`` is one flat float64 vector, zero at first.  Each Parameter's
-    value is a view of it, laid end to end in registry order: the layout of
-    a checkpoint body.  ``grad``, a second vector in the same layout, exists
+    ``value`` is one flat float64 vector, zero at first (left uninitialised
+    with ``zeroed=False``, for a caller that overwrites all of it).  Each
+    Parameter's value is a view of it, laid end to end in registry order:
+    the layout of a checkpoint body.  ``grad``, a second vector in the same layout, exists
     from ``add_grads`` on, which a build with ``grads`` calls; until then it
     and every Parameter's grad are None, so a model loaded to translate
     holds no gradient storage.  One numpy call scales, steps or zeroes
     every weight."""
 
-    def __init__(self, config: ModelConfig, grads=True):
+    def __init__(self, config: ModelConfig, grads=True, zeroed=True):
         self.config = config
         self.registry = {}
-        sizes = []
-        self._build(lambda name, shape: sizes.append(math.prod(shape)))  # measure only
-        self.value = np.zeros(sum(sizes))
+        self.value = (np.zeros if zeroed else np.empty)(_weight_count(config))
         self.grad = None
         self._end = 0
         self._build(self._new)
@@ -192,6 +192,15 @@ class ModelParams:
 
     def zero_grads(self):
         self.grad[...] = 0.0
+
+
+def _weight_count(config: ModelConfig):
+    """How many weights ModelParams(config) holds, counted by a measuring
+    _build pass that allocates nothing."""
+    sizes = []
+    ModelParams._build(SimpleNamespace(config=config),
+                       lambda name, shape: sizes.append(math.prod(shape)))
+    return sum(sizes)
 
 
 def init_params(config: ModelConfig, seed, init_range):
@@ -536,22 +545,32 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParams, vocab_meta=N
 def load_checkpoint(path):
     """Returns (config, params, vocab_meta); round-trip is bit-exact.
 
-    The header must describe exactly the layout its config builds; the body
-    is then read straight into the value vector.  A file that ends early,
-    whose header does not match or whose weights are not all finite is
-    refused.  The params hold no gradient storage (``add_grads`` makes it)."""
+    The header must describe exactly the layout its config builds, and the
+    body must be exactly as long as that layout; only then is the value
+    vector allocated and the body read straight into it.  A file that ends
+    early or runs on, whose header does not match or whose weights are not
+    all finite is refused.  The params hold no gradient storage
+    (``add_grads`` makes it)."""
     try:
         with open(path, "rb") as f:
             magic = f.read(len(CKPT_MAGIC))
             if magic != CKPT_MAGIC:
                 raise CompatibilityError(f"{path}: not an msnmt checkpoint")
             hlen = int.from_bytes(f.read(8), "little")
-            if hlen > os.fstat(f.fileno()).st_size - f.tell():
+            size = os.fstat(f.fileno()).st_size
+            if hlen > size - f.tell():
                 raise CompatibilityError(f"{path}: header length {hlen} runs past the file")
             try:
                 header = json.loads(f.read(hlen).decode("utf-8"))
                 config = ModelConfig.from_dict(header["config"])
-                params = ModelParams(config, grads=False)
+                body, want = size - f.tell(), 8 * _weight_count(config)
+                if body < want:
+                    raise CompatibilityError(f"{path}: truncated body: {body} bytes, where "
+                                             f"its config implies {want}")
+                if body > want:
+                    raise CompatibilityError(f"{path}: {body - want} trailing bytes after "
+                                             f"the {want}-byte body its config implies")
+                params = ModelParams(config, grads=False, zeroed=False)
                 saved = {m["name"]: m for m in header["params"]}
                 if set(saved) != set(params.registry):
                     raise CompatibilityError(f"{path}: parameter names do not match its config")

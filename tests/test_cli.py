@@ -339,6 +339,15 @@ class TestTranslateErrors:
                         "--src2", os.path.join(fixture, "src2.txt"),
                         "--out", str(tmp_path / "t.txt")])
 
+    def test_absurd_hidden_exit_code(self, tmp_path, capsys):
+        def edit(header, body):
+            header["config"]["hidden"] = 200000
+            return header, body
+
+        rc = self._translate_fixture(tmp_path, edit)
+        assert rc == 4
+        assert "truncated body" in capsys.readouterr().err
+
     def test_nan_weights_exit_code(self, tmp_path, capsys):
         nan = np.full(1, np.nan).tobytes()
         rc = self._translate_fixture(tmp_path, lambda h, body: (h, nan * (len(body) // 8)))

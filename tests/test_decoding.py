@@ -1,5 +1,7 @@
 import os
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from msnmt import model as M
 from msnmt.data import BOS, EOS, RESERVED, Vocabulary, decode_ids, encode_line
 from msnmt.decoding import (beam_decode, default_max_len, normalised_score,
                             translate_file)
-from msnmt.errors import AlignmentError, ConfigError
+from msnmt.errors import AlignmentError, ConfigError, WorkerError
 from msnmt.model import DecodeSession, ModelConfig, ModelParams, init_params
 
 
@@ -400,6 +402,17 @@ class TestTranslateFile:
             assert hyp == " ".join(decode_ids(toks, v))
             assert len({r[1] for r in rows if r[0] == str(i)}) == len(traces)
 
+    @pytest.mark.parametrize("beam, max_len", [(0, None), (2, 0)])
+    def test_bad_beam_or_cap_refused_before_any_file(self, tmp_path, beam, max_len):
+        cfg = small_cfg()
+        v = self._vocab()
+        src = tmp_path / "src"
+        src.write_text("w1 w2\n", encoding="utf-8")
+        with pytest.raises(ConfigError):
+            translate_file(ModelParams(cfg), cfg, [str(src)], str(tmp_path / "out"), ([v], v),
+                           beam=beam, max_len=max_len)
+        assert not (tmp_path / "out").exists()
+
     def test_misaligned_sources(self, tmp_path):
         cfg = small_cfg("multi-basic")
         params = ModelParams(cfg)
@@ -444,6 +457,65 @@ class TestDecodeFixture:
         assert got_header == want_header
         assert [k for k, _ in got] == [k for k, _ in want]
         assert max(abs(a - b) for (_, a), (_, b) in zip(got, want)) <= 1e-6
+
+
+class TestWorkerDecoding:
+    """With several chunks and several usable CPUs, translate_file decodes
+    its chunks in forked worker processes; it must write what the serial
+    path writes."""
+
+    FILES = [os.path.join(FIXTURE, "src1.txt"), os.path.join(FIXTURE, "src2.txt")]
+
+    def _translate(self, tmp_path, tag, beam):
+        config, params, meta = M.load_checkpoint(os.path.join(FIXTURE, "model.ckpt"))
+        vocabs = ([Vocabulary(t) for t in meta["src"]], Vocabulary(meta["tgt"]))
+        out, tsv = tmp_path / f"{tag}.txt", tmp_path / f"{tag}.tsv"
+        stats = translate_file(params, config, self.FILES, str(out), vocabs, beam=beam,
+                               dump_attention=str(tsv))
+        return out.read_bytes(), tsv.read_bytes(), stats
+
+    @pytest.mark.parametrize("beam", [1, 4])
+    def test_workers_write_what_the_serial_path_writes(self, tmp_path, monkeypatch, beam):
+        # 12 decoded lines: 3 chunks of 4 at beam 1, 12 chunks of 1 at beam 4
+        monkeypatch.setattr(decoding, "ROWS", 4)
+        pids = tmp_path / "pids"
+        decode_chunk = decoding._decode_chunk
+
+        def recording(job, chunk):
+            with open(pids, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()}\n")
+            return decode_chunk(job, chunk)
+
+        monkeypatch.setattr(decoding, "_decode_chunk", recording)
+        monkeypatch.setattr(decoding, "_usable_cpus", lambda: 2)
+        in_workers = self._translate(tmp_path, "workers", beam)
+        worker_pids = set(pids.read_text(encoding="utf-8").split())
+        pids.unlink()
+        monkeypatch.setattr(decoding, "_usable_cpus", lambda: 1)
+        serial = self._translate(tmp_path, "serial", beam)
+        assert set(pids.read_text(encoding="utf-8").split()) == {str(os.getpid())}
+        assert str(os.getpid()) not in worker_pids and len(worker_pids) <= 2
+        assert in_workers == serial
+        assert in_workers[2]["sentences"] == 12
+
+    @pytest.mark.parametrize("rows, cpus", [(4, 1), (128, 2)], ids=["one-cpu", "one-chunk"])
+    def test_serial_cases_fork_nothing(self, tmp_path, monkeypatch, rows, cpus):
+        monkeypatch.setattr(decoding, "ROWS", rows)
+        monkeypatch.setattr(decoding, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+        hyp, _tsv, _stats = self._translate(tmp_path, "serial", 1)
+        with open(os.path.join(FIXTURE, "hyp.beam1.txt"), "rb") as f:
+            assert hyp == f.read()
+
+    def test_dead_worker_raises_promptly(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(decoding, "ROWS", 4)
+        monkeypatch.setattr(decoding, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(decoding, "_decode_chunk", lambda job, chunk: os._exit(9))
+        t0 = time.perf_counter()
+        with pytest.raises(WorkerError, match="worker process died") as e:
+            self._translate(tmp_path, "dead", 1)
+        assert time.perf_counter() - t0 < 30
+        assert e.value.exit_code == 2
 
 
 class TestChunkedDecoding:

@@ -384,6 +384,35 @@ class TestCheckpoint:
             M.load_checkpoint(str(path))
         assert e.value.exit_code == 4
 
+    def test_absurd_hidden_refused_before_allocating(self, tmp_path):
+        # hidden 200000 in the decode fixture's header implies an 18.3 TiB
+        # body; the file's body is checked against that size, not allocated
+        path = tmp_path / "ck"
+        path.write_bytes(open(os.path.join(os.path.dirname(__file__), "fixtures", "decode",
+                                           "model.ckpt"), "rb").read())
+        self._rewrite_header(path, lambda h: h["config"].update(hidden=200000))
+        with pytest.raises(CompatibilityError, match="truncated body") as e:
+            M.load_checkpoint(str(path))
+        assert e.value.exit_code == 4
+
+    def test_trailing_bytes_refused(self, tmp_path):
+        cfg = tiny_config("multi-basic", "local-p")
+        path = tmp_path / "ck"
+        M.save_checkpoint(str(path), cfg, M.init_params(cfg, 2, 0.1))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(CompatibilityError, match="8 trailing bytes") as e:
+            M.load_checkpoint(str(path))
+        assert e.value.exit_code == 4
+
+    def test_load_fills_nothing_it_then_reads_over(self, tmp_path):
+        cfg = tiny_config("multi-childsum", "local-p")
+        params = M.init_params(cfg, 5, 0.1)
+        path = str(tmp_path / "ck")
+        M.save_checkpoint(path, cfg, params)
+        with mock.patch.object(np, "zeros", side_effect=AssertionError("zero-filled")):
+            _, loaded, _ = M.load_checkpoint(path)
+        assert np.array_equal(loaded.value, params.value)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_weights_refused(self, tmp_path, bad):
         cfg = tiny_config("multi-basic", "local-p")
