@@ -230,7 +230,8 @@ def _decoded_chunks(job, chunks):
     numpy and msnmt before its first chunk.  msnmt starts no threads of its
     own, and OpenBLAS shuts its thread pool down before a fork (its
     pthread_atfork handler).  Every worker is shut down and joined when the
-    block exits, however it exits.  A worker that dies raises WorkerError."""
+    block exits, however it exits.  A worker that dies raises WorkerError;
+    if a worker cannot be started, the chunks are decoded in this process."""
     workers = min(len(chunks), _usable_cpus())
     if workers < 2:
         yield (_decode_chunk(job, chunk) for chunk in chunks)
@@ -241,10 +242,21 @@ def _decoded_chunks(job, chunks):
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    before = set(multiprocessing.active_children())
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_start_worker, initargs=(job,))
     try:
-        yield pool.map(_decode_in_worker, chunks)
+        try:
+            decoded = pool.map(_decode_in_worker, chunks)   # forks every worker
+        except OSError:
+            # a fork was refused (process or memory limits).  The pool does
+            # not stop the workers it had started, so stop them here, and
+            # decode in this process.
+            for p in set(multiprocessing.active_children()) - before:
+                p.terminate()
+                p.join()
+            decoded = (_decode_chunk(job, chunk) for chunk in chunks)
+        yield decoded
     except BrokenProcessPool as e:
         raise WorkerError(f"a decoding worker process died: {e}") from e
     finally:

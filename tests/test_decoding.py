@@ -507,6 +507,27 @@ class TestWorkerDecoding:
         with open(os.path.join(FIXTURE, "hyp.beam1.txt"), "rb") as f:
             assert hyp == f.read()
 
+    @pytest.mark.parametrize("refused", [1, 2])
+    def test_refused_fork_decodes_in_process(self, tmp_path, monkeypatch, refused):
+        # the first or the second worker cannot be started (EAGAIN, as
+        # under a process limit); a worker already started must not be left
+        # behind, and the output is the serial path's
+        forks, fork = [], os.fork
+
+        def limited():
+            forks.append(1)
+            if len(forks) == refused:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(decoding, "ROWS", 4)
+        monkeypatch.setattr(decoding, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", limited)
+        hyp, _tsv, _stats = self._translate(tmp_path, "refused", 1)
+        with open(os.path.join(FIXTURE, "hyp.beam1.txt"), "rb") as f:
+            assert hyp == f.read()
+        assert len(forks) == refused
+
     def test_dead_worker_raises_promptly(self, tmp_path, monkeypatch):
         monkeypatch.setattr(decoding, "ROWS", 4)
         monkeypatch.setattr(decoding, "_usable_cpus", lambda: 2)
