@@ -232,9 +232,10 @@ def _decoded_chunks(job, chunks):
     pthread_atfork handler).  Every worker is shut down and joined when the
     block exits, however it exits.  A worker that dies raises WorkerError;
     if a worker cannot be started, the chunks are decoded in this process."""
+    serial = (_decode_chunk(job, chunk) for chunk in chunks)
     workers = min(len(chunks), _usable_cpus())
     if workers < 2:
-        yield (_decode_chunk(job, chunk) for chunk in chunks)
+        yield serial
         return
     # imported here, so a serial translation does not pay their import
     # (20-30 ms and 1.2 MB of RSS after numpy)
@@ -255,7 +256,7 @@ def _decoded_chunks(job, chunks):
             for p in set(multiprocessing.active_children()) - before:
                 p.terminate()
                 p.join()
-            decoded = (_decode_chunk(job, chunk) for chunk in chunks)
+            decoded = serial
         yield decoded
     except BrokenProcessPool as e:
         raise WorkerError(f"a decoding worker process died: {e}") from e
