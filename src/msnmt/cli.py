@@ -51,7 +51,7 @@ def load_config_file(path):
                 if key not in CONFIG_KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
                 values[key] = val
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CorpusIOError(f"cannot read config {path}: {e}") from e
     return values
 
@@ -195,8 +195,7 @@ def cmd_train(args):
                   for k in range(n_src)]
     tgt_vocab = data_mod.build_vocab((t[-1] for t in train_tuples), resolved["vocab_size"])
     vocab_meta = {"src": [v.tokens for v in src_vocabs], "tgt": tgt_vocab.tokens,
-                  "hashes": {"src": [v.content_hash() for v in src_vocabs],
-                             "tgt": tgt_vocab.content_hash()}}
+                  "hashes": _vocab_hashes(src_vocabs, tgt_vocab)}
 
     model_cfg = model_mod.ModelConfig(
         mode=mode, attention=attention, layers=resolved["layers"],
@@ -241,6 +240,11 @@ def cmd_train(args):
     return 0
 
 
+def _vocab_hashes(src_vocabs, tgt_vocab):
+    """What a checkpoint header stores under vocab.hashes."""
+    return {"src": [v.content_hash() for v in src_vocabs], "tgt": tgt_vocab.content_hash()}
+
+
 def _token_list(tokens, size):
     return (isinstance(tokens, list) and len(tokens) == size
             and all(isinstance(t, str) for t in tokens))
@@ -248,7 +252,8 @@ def _token_list(tokens, size):
 
 def _vocabs_from_meta(meta, config):
     """The checkpoint's source and target vocabularies: one list of strings
-    per side, each as long as its config says."""
+    per side, each as long as its config says, and matching the hashes the
+    header stores beside them."""
     if not isinstance(meta, dict) or "src" not in meta:
         raise CompatibilityError("checkpoint carries no vocabulary")
     src, tgt = meta["src"], meta.get("tgt")
@@ -260,9 +265,14 @@ def _vocabs_from_meta(meta, config):
             "checkpoint vocabulary is not one token list per side of the sizes its "
             f"config gives (source {list(sizes)}, target {config.tgt_vocab_size})")
     try:
-        return [Vocabulary(t) for t in src], Vocabulary(tgt)
+        src_vocabs, tgt_vocab = [Vocabulary(t) for t in src], Vocabulary(tgt)
     except VocabularyError as e:
         raise CompatibilityError(f"checkpoint vocabulary: {e}") from e
+    if "hashes" not in meta:
+        raise CompatibilityError("checkpoint vocabulary has no hashes to check it against")
+    if meta["hashes"] != _vocab_hashes(src_vocabs, tgt_vocab):
+        raise CompatibilityError("checkpoint vocabulary does not match its stored hashes")
+    return src_vocabs, tgt_vocab
 
 
 def cmd_translate(args):
@@ -318,11 +328,13 @@ def cmd_synth(args):
     if args.task == "copy":
         paths = synth_mod.write_copy_corpus(
             args.out_dir, args.lines, args.vocab, args.seed,
-            min_len=args.min_len, max_len=max_len or 8, prefix=args.prefix)
+            min_len=args.min_len, max_len=8 if max_len is None else max_len,
+            prefix=args.prefix)
     else:
         paths = synth_mod.write_triangulate_corpus(
             args.out_dir, args.lines, args.bases, args.seed,
-            min_len=args.min_len, max_len=max_len or 6, prefix=args.prefix)
+            min_len=args.min_len, max_len=6 if max_len is None else max_len,
+            prefix=args.prefix)
     for side, path in paths.items():
         log(f"wrote {side}: {path}")
     return 0

@@ -407,10 +407,8 @@ def backward(tape, params: ModelParams):
         else:
             dh_top = dsm_in
 
-        dstates_t = [(dh + (dh_top if l == L - 1 else 0.0), dc)
-                     for l, (dh, dc) in enumerate(d_states)]
         dx, d_states = rec_mod.stack_step_backward(
-            dstates_t, st["stack"], params.dec_layers, dmask_dec)
+            dh_top, d_states, st["stack"], params.dec_layers, dmask_dec)
 
         if config.use_attention:
             demb = dx[:, :d]

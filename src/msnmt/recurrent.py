@@ -1,12 +1,14 @@
-"""LSTM cell, stacked step, and full-sequence encoder with manual BPTT.
+"""One LSTM cell, the decoder's stacked step and the encoder, with manual BPTT.
 
-All state tensors are batched rows: h and c are [B, d].  The decoder steps
-the whole stack one timestep at a time (``stack_step``).  The encoder, which
-sees its whole input up front, runs layer-major: one layer over every
-timestep, then the next, so each layer's input projection X W_x^T is a single
-product over all timesteps and only h W_h^T stays in the recurrence
-(Appleyard et al. 2016).  Its weight gradients still accumulate one step at a
-time in descending t, in the order of a step-by-step BPTT.
+All state tensors are batched rows: h and c are [B, d].  One private cell
+(``_cell`` / ``_cell_backward``) serves both stacks, given each step's input
+projection x W_x^T.  The decoder steps the whole stack one timestep at a
+time (``stack_step``) and makes that projection inside the step.  The
+encoder, which sees its whole input up front, runs layer-major: one layer
+over every timestep, then the next, so each layer's input projection is a
+single product over all timesteps and only h W_h^T stays in the recurrence
+(Appleyard et al. 2016).  Its weight gradients still accumulate one step at
+a time in descending t, in the order of a step-by-step BPTT.
 
 The encoder consumes sources already reversed by the data module,
 right-padded; a carry mask freezes each example's state once its true length
@@ -42,40 +44,35 @@ class LstmParams:
         return [self.w_x, self.w_h, self.b]
 
 
-def lstm_cell(x, h_prev, c_prev, p: LstmParams):
-    """One LSTM step (forget-gate variant, gate order i,f,o,u).
-
-    Returns (h, c, cache); inputs are untouched.
-    """
-    if x.shape[1] != p.input_size or h_prev.shape[1] != p.hidden_size:
-        raise DimensionError(
-            f"lstm_cell: x {x.shape} / h {h_prev.shape} vs weights "
-            f"w_x {p.w_x.value.shape}, w_h {p.w_h.value.shape}"
-        )
-    z = x @ p.w_x.value.T + h_prev @ p.w_h.value.T + p.b.value
-    gates, c, tc, h = kernels.gates_forward(z, c_prev)
-    cache = (x, h_prev, c_prev, gates, tc)
-    return h, c, cache
+def _cell(zx, h, c, w_hT, b):
+    """One LSTM step (forget-gate variant, gate order i,f,o,u) from its input
+    projection zx = x W_x^T [B, 4d].  Returns the new (h, c) and the step
+    record (h_prev, c_prev, gates, tanh(c)) that _cell_backward reads; the
+    inputs are untouched."""
+    z = zx + h @ w_hT
+    z += b
+    gates, c_new, tc, h_new = kernels.gates_forward(z, c)
+    return h_new, c_new, (h, c, gates, tc)
 
 
-def lstm_cell_backward(dh, dc, cache, p: LstmParams):
-    """Accumulates weight grads into p; returns (dx, dh_prev, dc_prev)."""
-    x, h_prev, c_prev, gates, tc = cache
+def _cell_backward(dh, dc, x, step, p: LstmParams):
+    """Backward through _cell, given the step's input x and record.
+    Accumulates p's weight gradients; returns (dz [B, 4d], dc_prev)."""
+    h_prev, c_prev, gates, tc = step
     dz, dc_prev = kernels.gates_backward(gates, c_prev, tc, dh, dc)
     p.w_x.grad += dz.T @ x
     p.w_h.grad += dz.T @ h_prev
     p.b.grad += dz.sum(axis=0)
-    dx = dz @ p.w_x.value
-    dh_prev = dz @ p.w_h.value
-    return dx, dh_prev, dc_prev
+    return dz, dc_prev
 
 
 def stack_step(x, states, layers, dropout_masks=None):
-    """Apply lstm_cell per layer bottom-up; layer l's input is layer l-1's
+    """One timestep of the stack, bottom-up; layer l's input is layer l-1's
     fresh hidden output.  dropout_masks (if given) multiply each layer's
     input -- non-recurrent connections only.
 
-    states: list of (h, c) per layer.  Returns (new_states, cache).
+    states: list of (h, c) per layer.  Returns (new_states, caches), one
+    (input, step record) per layer.
     """
     if len(states) != len(layers):
         raise DimensionError(f"stack_step: {len(states)} states vs {len(layers)} layers")
@@ -90,33 +87,34 @@ def stack_step(x, states, layers, dropout_masks=None):
                     f"stack_step: dropout mask {m.shape} vs layer {l} input {inp.shape}"
                 )
             inp = inp * m
-        h, c, cc = lstm_cell(inp, h_prev, c_prev, p)
-        caches.append(cc)
+        if inp.shape[1] != p.input_size or h_prev.shape[1] != p.hidden_size:
+            raise DimensionError(f"stack_step: layer {l} input {inp.shape} / h {h_prev.shape} "
+                                 f"vs w_x {p.w_x.value.shape}, w_h {p.w_h.value.shape}")
+        h, c, step = _cell(inp @ p.w_x.value.T, h_prev, c_prev, p.w_h.value.T, p.b.value)
+        caches.append((inp, step))
         new_states.append((h, c))
         inp = h
     return new_states, caches
 
 
-def stack_step_backward(dstates, caches, layers, dropout_masks=None):
+def stack_step_backward(dh_top, d_states, caches, layers, dropout_masks=None):
     """Backward through one stacked step.
 
-    dstates: list of (dh, dc) w.r.t. the NEW states.  Returns
-    (dx, dprev_states); weight grads accumulate into the layers.
+    dh_top: gradient w.r.t. the top layer's new h from above the stack.
+    d_states: per layer, (dh, dc) w.r.t. the new states from later steps.
+    Returns (dx, dprev_states); weight grads accumulate into the layers.
     """
-    L = len(layers)
-    dh_acc = [np.array(dh, copy=True) for dh, _ in dstates]
-    dprev = [None] * L
-    dx_low = None
-    for l in range(L - 1, -1, -1):
-        dxl, dh_prev, dc_prev = lstm_cell_backward(dh_acc[l], dstates[l][1], caches[l], layers[l])
+    dprev = [None] * len(layers)
+    dh_in = dh_top
+    for l in range(len(layers) - 1, -1, -1):
+        p = layers[l]
+        dh, dc = d_states[l]
+        dz, dc_prev = _cell_backward(dh + dh_in, dc, *caches[l], p)
+        dprev[l] = (dz @ p.w_h.value, dc_prev)
+        dh_in = dz @ p.w_x.value
         if dropout_masks is not None:
-            dxl = dxl * dropout_masks[l]
-        dprev[l] = (dh_prev, dc_prev)
-        if l > 0:
-            dh_acc[l - 1] = dh_acc[l - 1] + dxl
-        else:
-            dx_low = dxl
-    return dx_low, dprev
+            dh_in = dh_in * dropout_masks[l]
+    return dh_in, dprev
 
 
 def zero_states(n_layers, batch, d):
@@ -170,8 +168,8 @@ def encode_batch(ids, mask, embed: Parameter, layers, dropout_masks=None, tape=T
 def _layer_forward(x, keep, p: LstmParams, steps=None):
     """One layer over every timestep of x [B, T, d_in].  Returns the final
     carried (h, c) and the carried hidden states [B, T, d] (the next layer's
-    input, or top_h).  A ``steps`` list gets (h_prev, c_prev, gates, tanh(c))
-    per step, for the backward pass."""
+    input, or top_h).  A ``steps`` list gets each step's record from _cell,
+    for the backward pass."""
     B, T, d_in = x.shape
     d = p.hidden_size
     if d_in != p.input_size:
@@ -182,11 +180,9 @@ def _layer_forward(x, keep, p: LstmParams, steps=None):
     c = np.zeros((B, d))
     hs = np.empty((B, T, d))
     for t in range(T):
-        z = zx[:, t] + h @ w_hT
-        z += p.b.value
-        gates, c_new, tc, h_new = kernels.gates_forward(z, c)
+        h_new, c_new, step = _cell(zx[:, t], h, c, w_hT, p.b.value)
         if steps is not None:
-            steps.append((h, c, gates, tc))
+            steps.append(step)
         m, carry = keep[t]
         h = m * h_new + carry * h
         c = m * c_new + carry * c
@@ -198,7 +194,7 @@ def encode_batch_backward(dfinal, dtop_h, cache, embed: Parameter, layers,
                           dropout_masks=None):
     """BPTT through encode_batch; accumulates into embed and layer grads.
 
-    dfinal: per-layer (dh, dc) w.r.t. the final carried states (may be None).
+    dfinal: per-layer (dh, dc) w.r.t. the final carried states.
     dtop_h: [B, T, d] gradient w.r.t. top_h (may be None).
 
     Layer-major like the forward pass, top layer first.  Each layer's weight
@@ -206,16 +202,9 @@ def encode_batch_backward(dfinal, dtop_h, cache, embed: Parameter, layers,
     into its input is one [B*T, 4d] x [4d, d_in] product.
     """
     ids, keep, tapes = cache
-    B = ids.shape[0]
     dhs = dtop_h
     for l in range(len(layers) - 1, -1, -1):
-        if dfinal is None:
-            d = layers[l].hidden_size
-            dh = np.zeros((B, d))
-            dc = np.zeros((B, d))
-        else:
-            dh, dc = dfinal[l]
-        dhs = _layer_backward(dh, dc, dhs, *tapes[l], keep, layers[l])
+        dhs = _layer_backward(*dfinal[l], dhs, *tapes[l], keep, layers[l])
         if dropout_masks is not None:
             dhs *= dropout_masks[l][:, None, :]
     np.add.at(embed.grad, ids, dhs)
@@ -230,14 +219,10 @@ def _layer_backward(dh, dc, dhs, x, steps, keep, p: LstmParams):
     dz_all = np.empty((B, T, 4 * p.hidden_size))
     w_h = p.w_h.value
     for t in range(T - 1, -1, -1):
-        h_prev, c_prev, gates, tc = steps[t]
         if dhs is not None:
             dh = dh + dhs[:, t]
         m, carry = keep[t]
-        dz, dc_prev = kernels.gates_backward(gates, c_prev, tc, m * dh, m * dc)
-        p.w_x.grad += dz.T @ x[:, t]
-        p.w_h.grad += dz.T @ h_prev
-        p.b.grad += dz.sum(axis=0)
+        dz, dc_prev = _cell_backward(m * dh, m * dc, x[:, t], steps[t], p)
         dz_all[:, t] = dz
         dh = carry * dh + dz @ w_h
         dc = carry * dc + dc_prev

@@ -11,13 +11,20 @@ single-source translation cannot.
 
 import os
 
-from .errors import ConfigError
+from .errors import ConfigError, CorpusIOError
 from .rngs import rng_stream
+
+
+def _check_lengths(min_len, max_len):
+    if not 1 <= min_len <= max_len:
+        raise ConfigError(f"sentence lengths need 1 <= min_len <= max_len, "
+                          f"got min_len {min_len} and max_len {max_len}")
 
 
 def generate_copy(n_lines, vocab_size, seed, min_len=3, max_len=8):
     if vocab_size < 1 or n_lines < 1:
         raise ConfigError("copy task needs n_lines >= 1 and vocab_size >= 1")
+    _check_lengths(min_len, max_len)
     rng = rng_stream(seed, "synth")
     lines = []
     for _ in range(n_lines):
@@ -36,6 +43,7 @@ def triangulate_target(src1_tok, src2_tok):
 def generate_triangulate(n_lines, n_bases, seed, min_len=3, max_len=6):
     if n_bases < 2 or n_lines < 1:
         raise ConfigError("triangulate task needs n_lines >= 1 and n_bases >= 2")
+    _check_lengths(min_len, max_len)
     rng = rng_stream(seed, "synth")
     src1, src2, tgt = [], [], []
     for _ in range(n_lines):
@@ -50,30 +58,29 @@ def generate_triangulate(n_lines, n_bases, seed, min_len=3, max_len=6):
     return src1, src2, tgt
 
 
-def write_lines(path, lines):
-    with open(path, "w", encoding="utf-8") as f:
-        for line in lines:
-            f.write(line + "\n")
+def _write(out_dir, prefix, sides):
+    """Writes each side's lines to {out_dir}/{prefix}{side}.txt; returns the
+    paths by side."""
+    paths = {side: os.path.join(out_dir, f"{prefix}{side}.txt") for side in sides}
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for side, lines in sides.items():
+            with open(paths[side], "w", encoding="utf-8") as f:
+                for line in lines:
+                    f.write(line + "\n")
+    except OSError as e:
+        raise CorpusIOError(f"cannot write corpus to {out_dir}: {e}") from e
+    return paths
 
 
 def write_copy_corpus(out_dir, n_lines, vocab_size, seed, min_len=3, max_len=8,
                       prefix=""):
     """Writes {prefix}src1.txt and a byte-equal {prefix}tgt.txt."""
-    os.makedirs(out_dir, exist_ok=True)
     lines = generate_copy(n_lines, vocab_size, seed, min_len, max_len)
-    paths = {side: os.path.join(out_dir, f"{prefix}{side}.txt") for side in ("src1", "tgt")}
-    write_lines(paths["src1"], lines)
-    write_lines(paths["tgt"], lines)
-    return paths
+    return _write(out_dir, prefix, {"src1": lines, "tgt": lines})
 
 
 def write_triangulate_corpus(out_dir, n_lines, n_bases, seed, min_len=3,
                              max_len=6, prefix=""):
-    os.makedirs(out_dir, exist_ok=True)
     src1, src2, tgt = generate_triangulate(n_lines, n_bases, seed, min_len, max_len)
-    paths = {side: os.path.join(out_dir, f"{prefix}{side}.txt")
-             for side in ("src1", "src2", "tgt")}
-    write_lines(paths["src1"], src1)
-    write_lines(paths["src2"], src2)
-    write_lines(paths["tgt"], tgt)
-    return paths
+    return _write(out_dir, prefix, {"src1": src1, "src2": src2, "tgt": tgt})

@@ -43,6 +43,13 @@ class TestConfigFile:
         rc = run_cli(["train", "--config", str(tmp_path / "nope")])
         assert rc == 2
 
+    def test_non_utf8_file_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "cfg"
+        p.write_bytes(b"hidden = \xff\xfe\n")
+        rc = run_cli(["train", "--config", str(p)])
+        assert rc == 2
+        assert str(p) in capsys.readouterr().err
+
     def test_unparsable_value_exit_code(self, tmp_path, capsys):
         p = tmp_path / "cfg"
         p.write_text("layers = abc\n", encoding="utf-8")
@@ -53,6 +60,29 @@ class TestConfigFile:
 
 
 class TestSynthCommand:
+    @pytest.mark.parametrize("task", ["copy", "triangulate"])
+    @pytest.mark.parametrize("min_len,max_len", [("5", "2"), ("3", "0")])
+    def test_min_len_above_max_len_exit_code(self, tmp_path, capsys, task, min_len, max_len):
+        rc = run_cli(["synth", "--task", task, "--lines", "5", "--out-dir", str(tmp_path / "o"),
+                      "--min-len", min_len, "--max-len", max_len])
+        assert rc == 1
+        assert f"min_len {min_len} and max_len {max_len}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("min_len", ["-2", "0"])
+    def test_nonpositive_min_len_exit_code(self, tmp_path, capsys, min_len):
+        rc = run_cli(["synth", "--task", "copy", "--lines", "5", "--out-dir", str(tmp_path / "o"),
+                      "--min-len", min_len])
+        assert rc == 1
+        assert f"min_len {min_len}" in capsys.readouterr().err
+
+    def test_out_dir_is_a_file_exit_code(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        rc = run_cli(["synth", "--task", "copy", "--lines", "5", "--out-dir", str(taken)])
+        assert rc == 2
+        assert str(taken) in capsys.readouterr().err
+
     def test_copy_files_byte_equal(self, tmp_path):
         out = tmp_path / "c"
         rc = run_cli(["synth", "--task", "copy", "--lines", "20",
@@ -377,6 +407,27 @@ class TestTranslateErrors:
         rc = self._translate_fixture(tmp_path, edit)
         assert rc == 4
         assert "vocabulary" in capsys.readouterr().err
+
+    def test_renamed_token_exit_code(self, tmp_path, capsys):
+        """A token renamed in the header keeps every size; only the stored
+        hashes tell the lists apart."""
+        def edit(header, body):
+            header["vocab"]["tgt"][6] = "renamed"
+            return header, body
+
+        rc = self._translate_fixture(tmp_path, edit)
+        assert rc == 4
+        assert "does not match its stored hashes" in capsys.readouterr().err
+        assert not (tmp_path / "t.txt").exists()
+
+    def test_missing_vocabulary_hashes_exit_code(self, tmp_path, capsys):
+        def edit(header, body):
+            del header["vocab"]["hashes"]
+            return header, body
+
+        rc = self._translate_fixture(tmp_path, edit)
+        assert rc == 4
+        assert "no hashes" in capsys.readouterr().err
 
     def test_unwritable_dump_path_exit_code(self, trained, capsys):
         root, data, out = trained

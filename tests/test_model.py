@@ -13,13 +13,14 @@ from msnmt import trainer as T
 from msnmt.data import Batch, make_batch
 from msnmt.errors import (CompatibilityError, ConfigError, CorpusIOError, NumericError,
                           VocabularyError)
+from msnmt.numerics import finite_difference_grad
 
 
-def tiny_config(mode="single", attention="none", layers=2, hidden=6, vocab=10):
+def tiny_config(mode="single", attention="none", layers=2, hidden=6, vocab=10, dropout=0.0):
     n = 1 if mode == "single" else 2
     return M.ModelConfig(mode=mode, attention=attention, layers=layers,
                          hidden=hidden, src_vocab_sizes=(vocab,) * n,
-                         tgt_vocab_size=vocab, window=10)
+                         tgt_vocab_size=vocab, window=10, dropout=dropout)
 
 
 def tiny_batch(config, seed=0, n=2, slen=4, tlen=3):
@@ -247,6 +248,35 @@ class TestBackward:
         _, name, worst, ok = gc.run_gradcheck(mode, attention, layers=1,
                                               hidden=4, vocab=8, time_steps=3)
         assert ok, f"{name}: {worst}"
+
+    @pytest.mark.parametrize("mode,attention", [
+        ("single", "none"), ("multi-basic", "local-p")])
+    def test_dropout_masks_backward_vs_fd(self, mode, attention):
+        """The gradient through the encoder, decoder and htilde dropout
+        masks.  Each loss call draws its masks from a fresh generator with
+        the same seed, so every finite-difference loss sees the same masks."""
+        cfg = tiny_config(mode, attention, layers=2, hidden=3, vocab=8, dropout=0.3)
+        params = M.init_params(cfg, 0, 0.3)
+        batch = gc.make_toy_batch(cfg, 3, 0)
+        masks = M.make_dropout_masks(cfg, params, batch.size, np.random.default_rng(1))
+        for m in [m for enc in masks["enc"] for m in enc] + masks["dec"] + (
+                [masks["htilde"]] if cfg.use_attention else []):
+            assert (m == 0).any() and (m != 0).any()
+
+        def loss():
+            nll, _, _ = M.forward_loss(batch, params, cfg, train_mode=True,
+                                       rng=np.random.default_rng(1))
+            return nll
+
+        _, _, tape = M.forward_loss(batch, params, cfg, train_mode=True,
+                                    rng=np.random.default_rng(1))
+        M.backward(tape, params)
+        analytic = {p.name: p.grad.copy() for p in params.all()}
+        params.zero_grads()
+        numeric = finite_difference_grad(loss, params.all(), epsilon=1e-5)
+        errors = gc.relative_errors(analytic, numeric)
+        worst = max(errors, key=errors.get)
+        assert errors[worst] < gc.DEFAULT_TOLERANCE, f"{worst}: {errors[worst]}"
 
 
 class TestPerplexity:

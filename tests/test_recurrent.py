@@ -3,8 +3,7 @@ import pytest
 
 from msnmt.errors import ConfigError, DimensionError, VocabularyError
 from msnmt.numerics import Parameter, finite_difference_grad, sigmoid
-from msnmt.recurrent import (LstmParams, encode_batch, encode_batch_backward,
-                             lstm_cell, lstm_cell_backward, stack_step,
+from msnmt.recurrent import (LstmParams, encode_batch, encode_batch_backward, stack_step,
                              stack_step_backward, zero_states)
 
 
@@ -19,17 +18,25 @@ def make_lstm(prefix, d_in, d, rng=None, scale=0.4):
                       b=Parameter(f"{prefix}.b", arr((4 * d,))))
 
 
+def cell(x, h_prev, c_prev, p):
+    """One LSTM step through a one-layer stack_step: (h, c, caches)."""
+    [(h, c)], caches = stack_step(x, [(h_prev, c_prev)], [p])
+    return h, c, caches
+
+
 class TestLstmCell:
+    """The cell both stacks share, driven through a one-layer stack_step."""
+
     def test_all_zero(self):
         p = make_lstm("z", 3, 3)
-        h, c, _ = lstm_cell(np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((1, 3)), p)
+        h, c, _ = cell(np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((1, 3)), p)
         assert np.array_equal(h, np.zeros((1, 3)))
         assert np.array_equal(c, np.zeros((1, 3)))
 
     def test_zero_weights_prev_cell_one(self):
         # all gates sit at sigmoid(0) = 0.5, so c' = 0.5 and h' = 0.5*tanh(0.5)
         p = make_lstm("z", 2, 2)
-        h, c, _ = lstm_cell(np.zeros((1, 2)), np.zeros((1, 2)), np.ones((1, 2)), p)
+        h, c, _ = cell(np.zeros((1, 2)), np.zeros((1, 2)), np.ones((1, 2)), p)
         assert np.allclose(c, 0.5, atol=1e-15)
         assert np.allclose(h, 0.5 * np.tanh(0.5), atol=1e-15)
 
@@ -40,7 +47,7 @@ class TestLstmCell:
         x = rng.uniform(-1, 1, (1, d))
         h0 = rng.uniform(-1, 1, (1, d))
         c0 = rng.uniform(-1, 1, (1, d))
-        h, c, _ = lstm_cell(x, h0, c0, p)
+        h, c, _ = cell(x, h0, c0, p)
         # scalar re-implementation, one output element at a time
         z = np.zeros(4 * d)
         for r in range(4 * d):
@@ -59,30 +66,34 @@ class TestLstmCell:
     def test_inputs_untouched(self):
         rng = np.random.default_rng(4)
         p = make_lstm("r", 2, 2, rng)
+        x = rng.uniform(-1, 1, (1, 2))
         h0 = rng.uniform(-1, 1, (1, 2))
         c0 = rng.uniform(-1, 1, (1, 2))
-        h0c, c0c = h0.copy(), c0.copy()
-        lstm_cell(rng.uniform(-1, 1, (1, 2)), h0, c0, p)
+        xc, h0c, c0c = x.copy(), h0.copy(), c0.copy()
+        cell(x, h0, c0, p)
+        assert np.array_equal(x, xc)
         assert np.array_equal(h0, h0c) and np.array_equal(c0, c0c)
 
     def test_dimension_mismatch(self):
         p = make_lstm("z", 3, 3)
         with pytest.raises(DimensionError):
-            lstm_cell(np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 3)), p)
+            cell(np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 3)), p)
+        with pytest.raises(DimensionError):
+            cell(np.zeros((1, 3)), np.zeros((1, 2)), np.zeros((1, 2)), p)
 
     def test_cell_growth_bounded(self):
         # |c'| <= |c| + 1 elementwise since f,i <= 1 and |u| <= 1
         rng = np.random.default_rng(7)
         p = make_lstm("r", 3, 3, rng, scale=2.0)
         c0 = rng.uniform(-3, 3, (4, 3))
-        _, c, _ = lstm_cell(rng.uniform(-2, 2, (4, 3)), rng.uniform(-1, 1, (4, 3)), c0, p)
+        _, c, _ = cell(rng.uniform(-2, 2, (4, 3)), rng.uniform(-1, 1, (4, 3)), c0, p)
         assert np.all(np.abs(c) <= np.abs(c0) + 1 + 1e-12)
 
     def test_hidden_in_open_unit_interval(self):
         rng = np.random.default_rng(8)
         p = make_lstm("r", 3, 3, rng, scale=3.0)
-        h, _, _ = lstm_cell(rng.uniform(-2, 2, (4, 3)), rng.uniform(-1, 1, (4, 3)),
-                            rng.uniform(-2, 2, (4, 3)), p)
+        h, _, _ = cell(rng.uniform(-2, 2, (4, 3)), rng.uniform(-1, 1, (4, 3)),
+                       rng.uniform(-2, 2, (4, 3)), p)
         assert np.all(np.abs(h) < 1.0)
 
     def test_backward_vs_fd(self):
@@ -90,17 +101,22 @@ class TestLstmCell:
         d = 3
         p = make_lstm("g", d, d, rng)
         x = Parameter("x", rng.uniform(-1, 1, (2, d)))
+        h0 = Parameter("h0", rng.uniform(-1, 1, (2, d)))
+        c0 = Parameter("c0", rng.uniform(-1, 1, (2, d)))
         wh = rng.uniform(-1, 1, (2, d))
         wc = rng.uniform(-1, 1, (2, d))
 
         def loss():
-            h, c, _ = lstm_cell(x.value, np.zeros((2, d)), np.full((2, d), 0.3), p)
+            h, c, _ = cell(x.value, h0.value, c0.value, p)
             return float(np.sum(h * wh) + np.sum(c * wc))
 
-        h, c, cache = lstm_cell(x.value, np.zeros((2, d)), np.full((2, d), 0.3), p)
-        dx, _, _ = lstm_cell_backward(wh, wc, cache, p)
-        fd = finite_difference_grad(loss, [x, p.w_x, p.w_h, p.b])
+        _, _, caches = cell(x.value, h0.value, c0.value, p)
+        # the gradient reaches h from above the stack and c through time
+        dx, [(dh0, dc0)] = stack_step_backward(wh, [(np.zeros((2, d)), wc)], caches, [p])
+        fd = finite_difference_grad(loss, [x, h0, c0, p.w_x, p.w_h, p.b])
         assert np.allclose(dx, fd["x"], rtol=1e-5, atol=1e-9)
+        assert np.allclose(dh0, fd["h0"], rtol=1e-5, atol=1e-9)
+        assert np.allclose(dc0, fd["c0"], rtol=1e-5, atol=1e-9)
         assert np.allclose(p.w_x.grad, fd["g.w_x"], rtol=1e-5, atol=1e-9)
         assert np.allclose(p.w_h.grad, fd["g.w_h"], rtol=1e-5, atol=1e-9)
         assert np.allclose(p.b.grad, fd["g.b"], rtol=1e-5, atol=1e-9)
@@ -108,14 +124,18 @@ class TestLstmCell:
 
 class TestStackStep:
     def test_single_layer_reduces_to_cell(self):
+        """The decoder's one-layer step and the encoder's one timestep run
+        the same cell.  The encoder multiplies by contiguous W^T copies,
+        which may round differently at 2 rows, so the check is to 1e-15."""
         rng = np.random.default_rng(13)
         p = make_lstm("a", 3, 3, rng)
-        x = rng.uniform(-1, 1, (2, 3))
-        states = [(rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, (2, 3)))]
-        got, _ = stack_step(x, states, [p])
-        want = lstm_cell(x, states[0][0], states[0][1], p)
-        assert np.array_equal(got[0][0], want[0])
-        assert np.array_equal(got[0][1], want[1])
+        embed = Parameter("emb", rng.uniform(-1, 1, (5, 3)))
+        ids = np.array([[1], [4]])
+        h, c, _ = cell(embed.value[ids[:, 0]], np.zeros((2, 3)), np.zeros((2, 3)), p)
+        [(eh, ec)], top, _ = encode_batch(ids, np.ones((2, 1)), embed, [p])
+        assert np.allclose(h, eh, rtol=0, atol=1e-15)
+        assert np.allclose(c, ec, rtol=0, atol=1e-15)
+        assert np.array_equal(top[:, 0], eh)
 
     def test_all_ones_masks_are_identity(self):
         rng = np.random.default_rng(14)
@@ -134,12 +154,10 @@ class TestStackStep:
         states = [(rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, (2, 3)))
                   for _ in range(2)]
         got, _ = stack_step(x, states, layers)
-        h0, c0, _ = lstm_cell(x, states[0][0], states[0][1], layers[0])
-        h1, c1, _ = lstm_cell(h0, states[1][0], states[1][1], layers[1])
-        assert np.allclose(got[0][0], h0, atol=1e-15)
-        assert np.allclose(got[1][0], h1, atol=1e-15)
-        assert np.allclose(got[1][1], c1, atol=1e-15)
-
+        h0, c0, _ = cell(x, *states[0], layers[0])
+        h1, c1, _ = cell(h0, *states[1], layers[1])
+        assert np.array_equal(got[0][0], h0) and np.array_equal(got[0][1], c0)
+        assert np.array_equal(got[1][0], h1) and np.array_equal(got[1][1], c1)
     def test_mask_shape_mismatch(self):
         p = make_lstm("z", 3, 3)
         with pytest.raises(DimensionError):
@@ -272,7 +290,8 @@ def step_major_encode_backward(dfinal, dtop_h, ids, mask, caches, embed, layers,
         dstates[-1] = (dh_top + dtop_h[:, t], dc_top)
         m = mask[:, t:t + 1]
         dnew = [(m * dh, m * dc) for dh, dc in dstates]
-        dx, dprev = stack_step_backward(dnew, caches[t], layers, dropout_masks)
+        dx, dprev = stack_step_backward(np.zeros_like(dtop_h[:, t]), dnew, caches[t],
+                                        layers, dropout_masks)
         dE[:, t] = dx
         dstates = [((1.0 - m) * dh + dph, (1.0 - m) * dc + dpc)
                    for (dh, dc), (dph, dpc) in zip(dstates, dprev)]
@@ -309,8 +328,7 @@ class TestLayerMajorEncoder:
         params = [embed] + [q for l in layers for q in l.all()]
 
         final, top, cache = encode_batch(ids, mask, embed, layers, masks)
-        encode_batch_backward(dfinal if with_final else None, dtop, cache, embed,
-                              layers, masks)
+        encode_batch_backward(dfinal, dtop, cache, embed, layers, masks)
         grads = {q.name: q.grad.copy() for q in params}
         for q in params:
             q.grad[...] = 0.0
