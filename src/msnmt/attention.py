@@ -46,7 +46,6 @@ class AttentionTrace:
     window: np.ndarray   # [B, W] integer source positions
     align: np.ndarray    # [B, W] softmax weights over the window, sum to 1
     weights: np.ndarray  # [B, W] a_t(s) = align * gaussian
-    context: np.ndarray  # [B, d]
     valid: np.ndarray    # [B, W] true on real window slots
 
 
@@ -60,8 +59,8 @@ def _positions(h, params, lens):
 
 def _window_weights(h, tops, lens, p, D, w_a):
     """Windows around p [B], their softmax alignment and Gaussian-damped
-    weights.  Returns (trace without context, gathered window states
-    [B, W, d], encoder-order row index [B, W], u = W_a^T h [B, d], gauss)."""
+    weights.  Returns (trace, gathered window states [B, W, d],
+    encoder-order row index [B, W], u = W_a^T h [B, d], gauss)."""
     if D < 1:
         raise ConfigError(f"attention window radius D must be >= 1, got {D}")
     last = lens - 1
@@ -82,7 +81,7 @@ def _window_weights(h, tops, lens, p, D, w_a):
     sigma = D / 2.0
     gauss = np.exp((pos - p[:, None]) ** 2 / (-2.0 * sigma * sigma))
     trace = AttentionTrace(p_t=p, window=pos, align=align, weights=align * gauss,
-                           context=None, valid=valid)
+                           valid=valid)
     return trace, hs, idx, u, gauss
 
 
@@ -97,7 +96,6 @@ def local_p(h, tops, lens, params: AttentionParams, D):
     p, m, sg = _positions(h, params, lens)
     trace, hs, idx, u, gauss = _window_weights(h, tops, lens, p, D, params.w_a)
     ctx = (trace.weights[:, None, :] @ hs)[:, 0]
-    trace.context = ctx
     cache = (h, tops, lens, idx, m, sg, u, gauss, trace, D)
     return ctx, trace, cache
 

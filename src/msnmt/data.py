@@ -101,20 +101,24 @@ def read_lines(path):
     return lines
 
 
+def read_aligned(paths):
+    """The lines of line-aligned files: one tuple per line, one string per
+    file.  Files whose line counts differ raise AlignmentError."""
+    sides = [read_lines(p) for p in paths]
+    if len(set(map(len, sides))) != 1:
+        raise AlignmentError("line counts differ: "
+                             + ", ".join(f"{p}={len(s)}" for p, s in zip(paths, sides)))
+    return list(zip(*sides))
+
+
 def load_parallel(paths, max_len=50):
     """Line-align 2 or 3 files into tuples of token lines; drop tuples with
     an empty side or any side longer than max_len tokens.
 
     Returns (tuples, dropped_count)."""
-    sides = [read_lines(p) for p in paths]
-    counts = [len(s) for s in sides]
-    if len(set(counts)) != 1:
-        raise AlignmentError(
-            f"line counts differ: " + ", ".join(f"{p}={c}" for p, c in zip(paths, counts))
-        )
     tuples = []
     dropped = 0
-    for rows in zip(*sides):
+    for rows in read_aligned(paths):
         n_toks = list(map(len, map(str.split, rows)))
         if min(n_toks) == 0 or max(n_toks) > max_len:
             dropped += 1

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import blas
 from .attention import AttentionTrace
-from .data import BOS, EOS, PAD, decode_ids, encode_line, read_lines
-from .errors import AlignmentError, ConfigError, CorpusIOError, WorkerError
+from .data import BOS, EOS, PAD, decode_ids, encode_line, read_aligned
+from .errors import ConfigError, CorpusIOError, WorkerError
 from .model import DecodeSession
 
 # Rows decoded together: a chunk holds max(1, ROWS // beam) sentences, so
@@ -58,7 +58,7 @@ def _trace_row(trace, row):
     part = slice(row, row + 1)
     return AttentionTrace(p_t=trace.p_t[part], window=trace.window[part],
                           align=trace.align[part], weights=trace.weights[part],
-                          context=trace.context[part], valid=trace.valid[part])
+                          valid=trace.valid[part])
 
 
 def _backtrack(history, step, slot):
@@ -281,11 +281,7 @@ def translate_file(params, config, src_paths, out_path, vocabs, beam=8,
     if max_len is not None and max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
     src_vocabs, tgt_vocab = vocabs
-    lines = [read_lines(p) for p in src_paths]
-    if len(set(len(l) for l in lines)) != 1:
-        raise AlignmentError("source files have differing line counts: "
-                             + ", ".join(f"{p}={len(l)}" for p, l in zip(src_paths, lines)))
-    rows = list(zip(*lines))
+    rows = read_aligned(src_paths)
     todo = [i for i, row in enumerate(rows) if all(r.strip() for r in row)]
     encoded = {i: tuple(encode_line(r, v, reverse=True) for r, v in zip(rows[i], src_vocabs))
                for i in todo}

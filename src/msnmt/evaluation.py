@@ -6,8 +6,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .data import read_lines
-from .errors import AlignmentError, ConfigError
+from .data import read_aligned
+from .errors import ConfigError
 
 
 @dataclass
@@ -68,11 +68,7 @@ def bleu(hyps, refs):
 
 def score_files(hyp_path, ref_path):
     """Whitespace tokenization, no recasing; returns a BleuReport."""
-    hyps = [l.split() for l in read_lines(hyp_path)]
-    refs = [l.split() for l in read_lines(ref_path)]
-    if len(hyps) != len(refs):
-        raise AlignmentError(f"line counts differ: {hyp_path}={len(hyps)}, "
-                             f"{ref_path}={len(refs)}")
-    if not hyps:
+    pairs = read_aligned([hyp_path, ref_path])
+    if not pairs:
         raise ConfigError("cannot score empty files")
-    return bleu(hyps, refs)
+    return bleu([h.split() for h, _ in pairs], [r.split() for _, r in pairs])

@@ -9,6 +9,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import model as model_mod
+from .errors import ConfigError
 from .numerics import finite_difference_grad
 from .rngs import rng_stream
 
@@ -21,8 +22,11 @@ _REL_FLOOR = 1e-5
 
 def make_toy_batch(config, time_steps, seed):
     """Two examples, ragged lengths, ids drawn from the non-reserved range."""
-    rng = rng_stream(seed, "gradcheck-batch")
     V = config.tgt_vocab_size
+    if V <= 4 or time_steps < 1:
+        raise ConfigError(f"the toy batch needs vocab > 4 (ids 0-3 are reserved) and "
+                          f"time steps >= 1, got vocab {V} and {time_steps} time steps")
+    rng = rng_stream(seed, "gradcheck-batch")
 
     def seq(n):
         return list(rng.integers(4, V, size=n))

@@ -520,24 +520,29 @@ def _manifest(params: ModelParams):
     return out
 
 
-def save_checkpoint(path, config: ModelConfig, params: ModelParams, vocab_meta=None):
-    """Versioned flat binary: magic, header length, JSON header, then the
-    value vector as it lies in memory.  Write-then-rename for atomicity."""
-    header = json.dumps({"config": config.to_dict(), "vocab": vocab_meta or {},
-                         "params": _manifest(params)}, sort_keys=True).encode("utf-8")
+def replace_file(path, parts):
+    """Write the bytes-like ``parts`` to a temporary file beside ``path``,
+    then rename it over ``path``: the file is replaced whole or left as it
+    was, and the temporary file is gone either way.  OSError raises
+    CorpusIOError."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(CKPT_MAGIC)
-            f.write(len(header).to_bytes(8, "little"))
-            f.write(header)
-            f.write(params.value)
+            f.writelines(parts)
         os.replace(tmp, path)
     except OSError as e:
-        raise CorpusIOError(f"cannot write checkpoint {path}: {e}") from e
+        raise CorpusIOError(f"cannot write {path}: {e}") from e
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def save_checkpoint(path, config: ModelConfig, params: ModelParams, vocab_meta=None):
+    """Versioned flat binary: magic, header length, JSON header, then the
+    value vector as it lies in memory; replaced whole (replace_file)."""
+    header = json.dumps({"config": config.to_dict(), "vocab": vocab_meta or {},
+                         "params": _manifest(params)}, sort_keys=True).encode("utf-8")
+    replace_file(path, (CKPT_MAGIC, len(header).to_bytes(8, "little"), header, params.value))
 
 
 def load_checkpoint(path):

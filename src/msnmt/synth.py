@@ -12,6 +12,7 @@ single-source translation cannot.
 import os
 
 from .errors import ConfigError, CorpusIOError
+from .model import replace_file
 from .rngs import rng_stream
 
 
@@ -64,12 +65,10 @@ def _write(out_dir, prefix, sides):
     paths = {side: os.path.join(out_dir, f"{prefix}{side}.txt") for side in sides}
     try:
         os.makedirs(out_dir, exist_ok=True)
-        for side, lines in sides.items():
-            with open(paths[side], "w", encoding="utf-8") as f:
-                for line in lines:
-                    f.write(line + "\n")
     except OSError as e:
         raise CorpusIOError(f"cannot write corpus to {out_dir}: {e}") from e
+    for side, lines in sides.items():
+        replace_file(paths[side], (f"{line}\n".encode("utf-8") for line in lines))
     return paths
 
 

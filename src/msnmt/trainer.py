@@ -139,7 +139,6 @@ def train(model_cfg: model_mod.ModelConfig, train_cfg: TrainConfig,
     the rest of the process).
     """
     train_cfg.validate()
-    os.makedirs(out_dir, exist_ok=True)
     if params is None:
         params = model_mod.init_params(model_cfg, train_cfg.seed, train_cfg.init_range)
     params.add_grads()  # a loaded checkpoint (--resume) has none
@@ -148,6 +147,11 @@ def train(model_cfg: model_mod.ModelConfig, train_cfg: TrainConfig,
     report_path = os.path.join(out_dir, "report.tsv")
     dev_batches = data_mod.batchify(dev_tuples, train_cfg.batch_size,
                                     rng_stream(train_cfg.seed, "devbatch"))
+    # made once rng_stream has refused a negative seed
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise CorpusIOError(f"cannot create {out_dir}: {e}") from e
 
     best_ppl = math.inf
     # the products are too small for a second BLAS thread to pay (blas.py)
@@ -199,24 +203,12 @@ def train(model_cfg: model_mod.ModelConfig, train_cfg: TrainConfig,
 
 
 def write_best(out_dir, epoch):
-    """Point the `best` marker at an epoch's checkpoint; write-then-rename,
-    so a crash leaves the previous marker whole."""
-    path = os.path.join(out_dir, "best")
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w") as f:
-            f.write(f"checkpoint-epoch{epoch}\n")
-        os.replace(tmp, path)
-    except OSError as e:
-        raise CorpusIOError(f"cannot write {path}: {e}") from e
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    """Point the `best` marker at an epoch's checkpoint, replaced whole."""
+    model_mod.replace_file(os.path.join(out_dir, "best"), [b"checkpoint-epoch%d\n" % epoch])
 
 
 def write_report(path, report: TrainReport):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("epoch\tlr\ttrain-nll\tdev-ppl\tgrad-scale-rate\tseconds\n")
-        for r in report.epochs:
-            f.write(f"{r.epoch}\t{r.lr:.10g}\t{r.train_nll:.10g}\t{r.dev_ppl:.10g}\t"
-                    f"{r.grad_scale_rate:.10g}\t{r.seconds:.3f}\n")
+    lines = ["epoch\tlr\ttrain-nll\tdev-ppl\tgrad-scale-rate\tseconds\n"]
+    lines += [f"{r.epoch}\t{r.lr:.10g}\t{r.train_nll:.10g}\t{r.dev_ppl:.10g}\t"
+              f"{r.grad_scale_rate:.10g}\t{r.seconds:.3f}\n" for r in report.epochs]
+    model_mod.replace_file(path, [line.encode("utf-8") for line in lines])

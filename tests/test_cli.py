@@ -83,6 +83,13 @@ class TestSynthCommand:
         assert rc == 2
         assert str(taken) in capsys.readouterr().err
 
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        rc = run_cli(["synth", "--task", "copy", "--lines", "3", "--out-dir", str(tmp_path / "o"),
+                      "--seed", "-1"])
+        assert rc == 1
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_copy_files_byte_equal(self, tmp_path):
         out = tmp_path / "c"
         rc = run_cli(["synth", "--task", "copy", "--lines", "20",
@@ -150,6 +157,35 @@ class TestTrainValidation:
                       "--dev-tgt", str(d / "dt"), "--out", str(d / "out")])
         assert rc == 1
         assert "does not accept --src2" in capsys.readouterr().err
+
+    @staticmethod
+    def tiny_run(d, out, *flags):
+        """A one-epoch run on a two-line corpus, writing into out."""
+        for name in ("s", "t"):
+            (d / name).write_text("w1 w2\nw2 w3\n", encoding="utf-8")
+        return ["train", "--src1", str(d / "s"), "--tgt", str(d / "t"),
+                "--dev-src1", str(d / "s"), "--dev-tgt", str(d / "t"), "--out", str(out),
+                "--layers", "1", "--hidden", "2", "--epochs", "1", *flags]
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        rc = run_cli(self.tiny_run(tmp_path, tmp_path / "out", "--seed", "-1"))
+        assert rc == 1
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_report_path_is_a_directory_exit_code(self, tmp_path, capsys):
+        (tmp_path / "out" / "report.tsv").mkdir(parents=True)
+        rc = run_cli(self.tiny_run(tmp_path, tmp_path / "out"))
+        assert rc == 2
+        assert "report.tsv" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path / "out")) == ["best", "checkpoint-epoch1",
+                                                        "report.tsv"]
+
+    def test_out_is_a_file_exit_code(self, tmp_path, capsys):
+        (tmp_path / "out").write_text("", encoding="utf-8")
+        rc = run_cli(self.tiny_run(tmp_path, tmp_path / "out"))
+        assert rc == 2
+        assert str(tmp_path / "out") in capsys.readouterr().err
 
     def test_missing_input_file_listed(self, tmp_path, capsys):
         rc = run_cli(["train", "--src1", str(tmp_path / "nope"),
@@ -258,13 +294,14 @@ class TestTrainTranslateScoreSmoke:
         assert (root / "resumed" / "checkpoint-epoch5").exists()
         assert not (root / "resumed" / "checkpoint-epoch1").exists()
 
-    def test_resume_name_without_epoch_number(self, trained, capsys):
+    @pytest.mark.parametrize("name", ["checkpoint-epoch4.bak", "model.ckpt"])
+    def test_resume_name_without_epoch_number(self, trained, capsys, name):
         root, data, out = trained
-        backup = root / "checkpoint-epoch4.bak"
+        backup = root / name
         backup.write_bytes((out / "checkpoint-epoch4").read_bytes())
         rc = run_cli(self.resume_args(data, root / "resumed-bak", backup))
         assert rc == 1
-        assert "checkpoint-epoch4.bak" in capsys.readouterr().err
+        assert name in capsys.readouterr().err
         assert not (root / "resumed-bak").exists()
 
     def test_resume_with_no_epochs_left(self, trained, capsys):
@@ -316,6 +353,17 @@ class TestGradcheckCommand:
                       "--time-steps", "3"])
         assert rc == 3
         assert "softmax.b" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,message", [
+        pytest.param("--vocab", "4", "vocab 4", id="vocab-4"),
+        pytest.param("--vocab", "2", "vocab 2", id="vocab-2"),
+        pytest.param("--time-steps", "0", "0 time steps", id="time-steps-0"),
+        pytest.param("--seed", "-1", "seed", id="seed--1")])
+    def test_unbuildable_settings_exit_code(self, capsys, flag, value, message):
+        rc = run_cli(["gradcheck", "--attention", "none", "--layers", "1", "--hidden", "2",
+                      flag, value])
+        assert rc == 1
+        assert message in capsys.readouterr().err
 
 
 class TestScoreErrors:
@@ -437,3 +485,23 @@ class TestTranslateErrors:
                       "--dump-attention", str(root / "no-such-dir" / "align.tsv")])
         assert rc == 2
         assert "no-such-dir" in capsys.readouterr().err
+
+
+class TestLineAlignment:
+    @pytest.mark.parametrize("command", ["train", "translate", "score"])
+    def test_one_message_for_every_command(self, tmp_path, capsys, command):
+        """Each command that reads line-aligned files refuses misaligned ones
+        with the same message, naming every file and its line count."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.write_text("w1 w2\nw3\n", encoding="utf-8")
+        b.write_text("w1\n", encoding="utf-8")
+        ckpt = os.path.join(os.path.dirname(__file__), "fixtures", "decode", "model.ckpt")
+        argv = {"train": ["train", "--src1", str(a), "--tgt", str(b), "--dev-src1", str(a),
+                          "--dev-tgt", str(a), "--out", str(tmp_path / "o")],
+                "translate": ["translate", "--checkpoint", ckpt, "--src1", str(a),
+                              "--src2", str(b), "--out", str(tmp_path / "o")],
+                "score": ["score", "--hyp", str(a), "--ref", str(b)]}[command]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"error: line counts differ: {a}=2, {b}=1"
+        assert not (tmp_path / "o").exists()

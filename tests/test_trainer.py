@@ -142,13 +142,24 @@ class TestTrainLoop:
         assert lines[0] == "epoch\tlr\ttrain-nll\tdev-ppl\tgrad-scale-rate\tseconds"
         assert len(lines) == 3
 
-    def test_best_marker_survives_a_failed_rename(self, tmp_path):
-        T.write_best(str(tmp_path), 1)
+    @pytest.mark.parametrize("name", ["checkpoint-epoch1", "best", "report.tsv"])
+    def test_best_marker_survives_a_failed_rename(self, tmp_path, name):
+        """Every file train writes is replaced whole or left as it was."""
+        cfg = small_model_cfg()
+        path = str(tmp_path / name)
+        rec = T.EpochRecord(epoch=1, lr=1.0, train_nll=2.0, dev_ppl=3.0,
+                            grad_scale_rate=0.0, grad_norm_mean=1.0, seconds=0.5)
+        write = {"checkpoint-epoch1": lambda k: M.save_checkpoint(path, cfg,
+                                                                  init_params(cfg, k, 0.1)),
+                 "best": lambda k: T.write_best(str(tmp_path), k),
+                 "report.tsv": lambda k: T.write_report(path, T.TrainReport([rec] * k))}[name]
+        write(1)
+        before = (tmp_path / name).read_bytes()
         with mock.patch.object(T.os, "replace", side_effect=OSError("disk full")):
             with pytest.raises(CorpusIOError, match="disk full"):
-                T.write_best(str(tmp_path), 2)
-        assert (tmp_path / "best").read_text() == "checkpoint-epoch1\n"
-        assert os.listdir(tmp_path) == ["best"]
+                write(2)
+        assert (tmp_path / name).read_bytes() == before
+        assert os.listdir(tmp_path) == [name]
 
     def test_resume_is_bit_exact(self, tmp_path):
         """Epochs 1-4 straight through == epochs 1-2, reload, epochs 3-4."""
