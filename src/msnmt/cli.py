@@ -28,11 +28,26 @@ def log(msg):
     print(msg, file=sys.stderr)
 
 
-# keys accepted in a --config file, with the flag they override
-CONFIG_KEYS = {
-    "mode", "attention", "layers", "hidden", "window", "epochs", "lr",
-    "halve_after", "clip", "batch_size", "dropout", "init_range", "seed",
-    "vocab_size", "max_len",
+# train's settings, each a flag and a --config key: key -> (type, or a string
+# setting's choices; default; help phrase).  A default that depends on
+# attention is a pair (without, with local-p), resolved after attention.
+# Luong et al. 2015's recipe, but with 64 hidden units instead of 1000.
+TRAIN_SETTINGS = {
+    "mode": (model_mod.MODES, "single", None),
+    "attention": (model_mod.ATTENTIONS, "none", None),
+    "layers": (int, 4, None),
+    "hidden": (int, 64, None),
+    "window": (int, 10, "attention radius D"),
+    "epochs": (int, 15, None),
+    "lr": (float, (1.0, 0.7), None),
+    "halve_after": (int, 10, "halve lr each epoch after this one"),
+    "clip": (float, 5.0, "gradient norm threshold"),
+    "batch_size": (int, 128, None),
+    "dropout": (float, (0.2, 0.3), None),
+    "init_range": (float, (0.1, 0.08), None),
+    "seed": (int, 1, None),
+    "vocab_size": (int, 10000, "per-side vocabulary cap"),
+    "max_len": (int, 50, "drop tuples longer than this"),
 }
 
 
@@ -48,7 +63,7 @@ def load_config_file(path):
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, val = (s.strip() for s in line.split("=", 1))
                 key = key.replace("-", "_")
-                if key not in CONFIG_KEYS:
+                if key not in TRAIN_SETTINGS:
                     raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
                 values[key] = val
     except (OSError, UnicodeDecodeError) as e:
@@ -70,22 +85,14 @@ def build_parser():
     t.add_argument("--dev-src2")
     t.add_argument("--dev-tgt")
     t.add_argument("--out", help="output directory")
-    t.add_argument("--mode", choices=model_mod.MODES)
-    t.add_argument("--attention", choices=model_mod.ATTENTIONS)
-    t.add_argument("--layers", type=int)
-    t.add_argument("--hidden", type=int)
-    t.add_argument("--window", type=int, help="attention radius D (default 10)")
-    t.add_argument("--epochs", type=int, help="default 15")
-    t.add_argument("--lr", type=float, help="default 1.0 (0.7 with attention)")
-    t.add_argument("--halve-after", type=int, help="halve lr each epoch after this one (default 10)")
-    t.add_argument("--clip", type=float, help="gradient norm threshold (default 5.0)")
-    t.add_argument("--batch-size", type=int, help="default 128")
-    t.add_argument("--dropout", type=float, help="default 0.2 (0.3 with attention)")
-    t.add_argument("--init-range", type=float, help="default 0.1 (0.08 with attention)")
-    t.add_argument("--seed", type=int, help="default 1")
-    t.add_argument("--vocab-size", type=int, help="per-side vocabulary cap (default 10000)")
-    t.add_argument("--max-len", type=int, help="drop tuples longer than this (default 50)")
     t.add_argument("--resume", help="checkpoint to resume from")
+    for key, (kind, default, phrase) in TRAIN_SETTINGS.items():
+        if isinstance(default, tuple):
+            default = f"{default[0]} ({default[1]} with attention)"
+        choices = kind if isinstance(kind, tuple) else None
+        note = f"default {default}"
+        t.add_argument("--" + key.replace("_", "-"), type=str if choices else kind,
+                       choices=choices, help=f"{phrase} ({note})" if phrase else note)
 
     tr = sub.add_parser("translate", help="decode a file with a trained checkpoint")
     tr.add_argument("--checkpoint", required=True)
@@ -124,53 +131,40 @@ def build_parser():
     return p
 
 
-def _resolve(args, file_vals, key, cast, default):
-    cli_val = getattr(args, key, None)
-    if cli_val is not None:
-        return cli_val
-    if key in file_vals:
-        try:
-            return cast(file_vals[key])
-        except ValueError:
-            raise ConfigError(f"{args.config}: cannot read {key} = {file_vals[key]!r} "
-                              f"as {cast.__name__}") from None
-    return default
+def train_settings(args):
+    """Each train setting: its flag, else its --config value, else its default."""
+    file_vals = load_config_file(args.config) if args.config else {}
+    resolved = {}
+    for key, (kind, default, _) in TRAIN_SETTINGS.items():
+        value = getattr(args, key)
+        if value is None and key in file_vals:
+            cast = str if isinstance(kind, tuple) else kind
+            try:
+                value = cast(file_vals[key])
+            except ValueError:
+                raise ConfigError(f"{args.config}: cannot read {key} = {file_vals[key]!r} "
+                                  f"as {cast.__name__}") from None
+        elif value is None:
+            value = (default[resolved["attention"] == "local-p"]
+                     if isinstance(default, tuple) else default)
+        resolved[key] = value
+    return resolved
 
 
 def cmd_train(args):
-    file_vals = load_config_file(args.config) if args.config else {}
-    mode = _resolve(args, file_vals, "mode", str, "single")
-    attention = _resolve(args, file_vals, "attention", str, "none")
-    use_att = attention == "local-p"
-    resolved = {
-        "mode": mode,
-        "attention": attention,
-        "layers": _resolve(args, file_vals, "layers", int, 4),
-        "hidden": _resolve(args, file_vals, "hidden", int, 64),
-        "window": _resolve(args, file_vals, "window", int, 10),
-        "epochs": _resolve(args, file_vals, "epochs", int, 15),
-        "lr": _resolve(args, file_vals, "lr", float, 0.7 if use_att else 1.0),
-        "halve_after": _resolve(args, file_vals, "halve_after", int, 10),
-        "clip": _resolve(args, file_vals, "clip", float, 5.0),
-        "batch_size": _resolve(args, file_vals, "batch_size", int, 128),
-        "dropout": _resolve(args, file_vals, "dropout", float, 0.3 if use_att else 0.2),
-        "init_range": _resolve(args, file_vals, "init_range", float, 0.08 if use_att else 0.1),
-        "seed": _resolve(args, file_vals, "seed", int, 1),
-        "vocab_size": _resolve(args, file_vals, "vocab_size", int, 10000),
-        "max_len": _resolve(args, file_vals, "max_len", int, 50),
-    }
+    resolved = train_settings(args)
+    mode, attention = resolved["mode"], resolved["attention"]
 
     errs = []
     multi = mode != "single"
     for key in ("src1", "tgt", "dev_src1", "dev_tgt", "out"):
         if getattr(args, key) is None:
             errs.append(f"missing required path --{key.replace('_', '-')}")
-    if multi and args.src2 is None:
-        errs.append(f"--mode {mode} requires --src2")
-    if multi and args.dev_src2 is None:
-        errs.append(f"--mode {mode} requires --dev-src2")
-    if not multi and args.src2 is not None:
-        errs.append("--mode single does not accept --src2")
+    for flag, path in (("--src2", args.src2), ("--dev-src2", args.dev_src2)):
+        if multi and path is None:
+            errs.append(f"--mode {mode} requires {flag}")
+        if not multi and path is not None:
+            errs.append(f"--mode single does not accept {flag}")
     for key in ("src1", "src2", "tgt", "dev_src1", "dev_src2", "dev_tgt"):
         path = getattr(args, key)
         if path is not None and not os.path.exists(path):

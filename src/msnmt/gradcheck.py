@@ -14,6 +14,8 @@ from .numerics import finite_difference_grad
 from .rngs import rng_stream
 
 DEFAULT_TOLERANCE = 1e-4
+WINDOW = 10          # the toy model's attention radius D
+INIT_RANGE = 0.3     # and its uniform init range
 # floor for the relative-error denominator: central differences carry
 # cancellation noise of about eps_machine * |loss| / (2 * epsilon) ~ 3e-10
 # absolute, so gradients below this magnitude are compared absolutely
@@ -53,15 +55,14 @@ def relative_errors(analytic, numeric):
 
 
 def run_gradcheck(mode, attention, layers=2, hidden=8, vocab=20, time_steps=5,
-                  seed=0, epsilon=1e-5, window=10, init_range=0.3,
-                  tolerance=DEFAULT_TOLERANCE):
+                  seed=0, epsilon=1e-5):
     """Returns (errors by parameter name, worst name, worst error, passed)."""
     n_src = 1 if mode == "single" else 2
     config = model_mod.ModelConfig(
         mode=mode, attention=attention, layers=layers, hidden=hidden,
         src_vocab_sizes=(vocab,) * n_src, tgt_vocab_size=vocab,
-        window=window, dropout=0.0)
-    params = model_mod.init_params(config, seed, init_range)
+        window=WINDOW, dropout=0.0)
+    params = model_mod.init_params(config, seed, INIT_RANGE)
     batch = make_toy_batch(config, time_steps, seed)
 
     _nll, _ntok, tape = model_mod.forward_loss(batch, params, config, train_mode=False)
@@ -77,4 +78,4 @@ def run_gradcheck(mode, attention, layers=2, hidden=8, vocab=20, time_steps=5,
     errors = relative_errors(analytic, numeric)
     worst_name = max(errors, key=errors.get)
     worst = errors[worst_name]
-    return errors, worst_name, worst, worst < tolerance
+    return errors, worst_name, worst, worst < DEFAULT_TOLERANCE

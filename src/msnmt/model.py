@@ -205,8 +205,8 @@ def _weight_count(config: ModelConfig):
 
 def init_params(config: ModelConfig, seed, init_range):
     """Uniform [-range, +range] weights from the 'init' substream; biases zero."""
-    if init_range <= 0:
-        raise ConfigError(f"init range must be positive, got {init_range}")
+    if not (math.isfinite(init_range) and init_range > 0):
+        raise ConfigError(f"init range must be finite and positive, got {init_range}")
     params = ModelParams(config)
     rng = rng_stream(seed, "init")
     for name, p in params.registry.items():

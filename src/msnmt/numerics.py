@@ -51,8 +51,8 @@ def finite_difference_grad(loss_fn, params, epsilon=1e-5):
     ``loss_fn`` takes no arguments and reads the parameters' current values;
     it must be deterministic.  Returns {name: gradient array}.
     """
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ConfigError(f"epsilon must be finite and positive, got {epsilon}")
     grads = {}
     for p in params:
         g = np.zeros_like(p.value)

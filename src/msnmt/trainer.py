@@ -39,18 +39,18 @@ class TrainConfig:
         errs = []
         if self.epochs < 1:
             errs.append("epochs must be >= 1")
-        if self.lr0 <= 0:
-            errs.append("lr0 must be positive")
+        if not (math.isfinite(self.lr0) and self.lr0 > 0):
+            errs.append("lr0 must be finite and positive")
         if self.halve_after_epoch < 1:
             errs.append("halve_after_epoch must be >= 1")
-        if self.clip_threshold <= 0:
-            errs.append("clip_threshold must be positive")
+        if not (math.isfinite(self.clip_threshold) and self.clip_threshold > 0):
+            errs.append("clip_threshold must be finite and positive")
         if self.batch_size < 1:
             errs.append("batch_size must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             errs.append("dropout must be in [0,1)")
-        if self.init_range <= 0:
-            errs.append("init_range must be positive")
+        if not (math.isfinite(self.init_range) and self.init_range > 0):
+            errs.append("init_range must be finite and positive")
         if errs:
             raise ConfigError("; ".join(errs))
 

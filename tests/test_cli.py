@@ -59,6 +59,34 @@ class TestConfigFile:
         assert str(p) in err and "layers" in err and "'abc'" in err
 
 
+class TestTrainSettings:
+    @staticmethod
+    def settings(tmp_path, file_vals, *flags):
+        """train's resolved settings for a --config file of file_vals plus flags."""
+        cfg = tmp_path / "cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in file_vals.items()), encoding="utf-8")
+        args = cli.build_parser().parse_args(["train", "--config", str(cfg), *flags])
+        return cli.train_settings(args)
+
+    @pytest.mark.parametrize("key", list(cli.TRAIN_SETTINGS))
+    def test_flag_and_config_key_agree(self, tmp_path, key):
+        kind, default, _ = cli.TRAIN_SETTINGS[key]
+        if isinstance(kind, tuple):
+            a, b = next(c for c in kind if c != default), default
+        else:
+            a, b = kind(3), kind(7)
+        flag = "--" + key.replace("_", "-")
+        assert self.settings(tmp_path, {key: a})[key] == a
+        assert self.settings(tmp_path, {}, flag, str(a))[key] == a
+        assert self.settings(tmp_path, {key: a}, flag, str(b))[key] == b
+        if isinstance(default, tuple):
+            assert self.settings(tmp_path, {})[key] == default[0]
+            assert self.settings(tmp_path, {}, "--attention", "local-p")[key] == default[1]
+            assert self.settings(tmp_path, {"attention": "local-p"})[key] == default[1]
+        else:
+            assert self.settings(tmp_path, {})[key] == default
+
+
 class TestSynthCommand:
     @pytest.mark.parametrize("task", ["copy", "triangulate"])
     @pytest.mark.parametrize("min_len,max_len", [("5", "2"), ("3", "0")])
@@ -158,6 +186,17 @@ class TestTrainValidation:
         assert rc == 1
         assert "does not accept --src2" in capsys.readouterr().err
 
+    def test_single_mode_rejects_dev_src2(self, tmp_path, capsys):
+        d = tmp_path
+        for name in ("s", "t"):
+            (d / name).write_text("w1 w2\n", encoding="utf-8")
+        rc = run_cli(["train", "--mode", "single", "--src1", str(d / "s"), "--tgt", str(d / "t"),
+                      "--dev-src1", str(d / "s"), "--dev-src2", str(d / "s"),
+                      "--dev-tgt", str(d / "t"), "--out", str(d / "out")])
+        assert rc == 1
+        assert "does not accept --dev-src2" in capsys.readouterr().err
+        assert not (d / "out").exists()
+
     @staticmethod
     def tiny_run(d, out, *flags):
         """A one-epoch run on a two-line corpus, writing into out."""
@@ -171,6 +210,17 @@ class TestTrainValidation:
         rc = run_cli(self.tiny_run(tmp_path, tmp_path / "out", "--seed", "-1"))
         assert rc == 1
         assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("train", "--init-range", "inf"), ("train", "--init-range", "nan"),
+        ("train", "--lr", "inf"), ("train", "--lr", "nan"), ("train", "--clip", "nan"),
+        ("gradcheck", "--epsilon", "nan")])
+    def test_non_finite_setting_exit_code(self, tmp_path, capsys, command, flag, value):
+        argv = (self.tiny_run(tmp_path, tmp_path / "out", flag, value) if command == "train"
+                else ["gradcheck", "--layers", "1", "--hidden", "2", flag, value])
+        assert run_cli(argv) == 1
+        assert "finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_report_path_is_a_directory_exit_code(self, tmp_path, capsys):
