@@ -9,7 +9,7 @@ non-differentiable; p_t receives gradient through the Gaussian factor.
 
 ``local_p`` is the one implementation: it attends for a whole batch over one
 source's top encoder states, and ``local_p_backward`` is its gradient.
-``attend`` and ``multi_attend`` run it on a batch of one.
+``attend`` runs it on a batch of one.
 
 Positions are in ORIGINAL word order.  The encoder reads sources reversed,
 so ``local_p`` takes its top states in encoder order and reads original
@@ -166,13 +166,3 @@ def attentional_hidden_backward(dout, cache, proj: Parameter):
     dcat = dpre @ proj.value
     parts = [dcat[:, :d]] + [dcat[:, d * (k + 1):d * (k + 2)] for k in range(n_ctx)]
     return parts[0], parts[1:]
-
-
-def multi_attend(h_t, enc1_seq, enc2_seq, params1, params2, proj, D):
-    """Dual-source step: independent position/window/context per encoder,
-    then a joint output projection.  Single example; returns
-    (h_tilde [d], trace1, trace2)."""
-    c1, t1, _ = attend(h_t, enc1_seq, params1, D)
-    c2, t2, _ = attend(h_t, enc2_seq, params2, D)
-    out, _ = attentional_hidden(h_t, [c1, c2], proj)
-    return out[0], t1, t2

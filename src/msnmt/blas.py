@@ -10,6 +10,18 @@ for a second free CPU, so training slows whenever anything else runs.  On a
 took 9-11 s with one BLAS thread or two, at half the CPU time with one; with
 a busy loop on the other vCPU it took 16.7 s with two and 10.1 s with one.
 
+Training holds one thread for the whole run (trainer.train), and
+translation for the whole decode (decoding.translate_file), from before its
+worker processes fork until they are joined.  OpenBLAS shuts its pool down
+at fork, and a child starts it again at its first product if its count is
+above 1; a count restored inside a worker does the same.  The thread of
+that pool spins on the other vCPU while both workers decode.  On the same
+guest, with the count restored to 2 after each chunk, the two workers took
+a median 0.37-0.46 s of CPU for a pass over multi-localp-short's 200-line
+test set; with 1 held across the fork, 0.27-0.29 s (two processes each, 20
+passes).  The benchmark's translate_sent_s on that workload rose from 1052
+to 1614 sent/s (medians of 10 runs each).
+
 ``one_thread`` sets the OpenBLAS pool to one thread and puts the previous
 count back on exit.  Only OpenBLAS is handled, found among the shared objects
 the process has mapped; with any other BLAS, or where none is found, it does

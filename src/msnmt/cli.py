@@ -23,6 +23,11 @@ from .data import Vocabulary
 from .errors import (CompatibilityError, ConfigError, CorpusIOError, MsnmtError,
                      VocabularyError)
 
+try:
+    import resource
+except ImportError:     # as on Windows; translate then logs no CPU time
+    resource = None
+
 
 def log(msg):
     print(msg, file=sys.stderr)
@@ -276,6 +281,7 @@ def cmd_translate(args):
             f"checkpoint is {config.mode} ({config.n_sources} source(s)) but "
             f"{len(src_paths)} source file(s) were given")
     src_vocabs, tgt_vocab = _vocabs_from_meta(meta, config)
+    cpu0 = _cpu_seconds()
     t0 = time.perf_counter()
     stats = dec_mod.translate_file(params, config, src_paths, args.out,
                                    (src_vocabs, tgt_vocab), beam=args.beam,
@@ -287,7 +293,21 @@ def cmd_translate(args):
     log(f"translated {stats['sentences']} sentences in {seconds:.3f} s "
         f"({stats['sentences'] / seconds:.1f} sent/s); {steps} decoder steps, "
         f"{stats['rows'] / steps if steps else 0.0:.1f} rows per step")
+    if cpu0 is not None:
+        own, workers = (b - a for a, b in zip(cpu0, _cpu_seconds()))
+        log(f"cpu time {own:.3f} s in this process, {workers:.3f} s in worker processes")
     return 0
+
+
+def _cpu_seconds():
+    """User plus system CPU seconds of this process and of its reaped
+    children, or None without the resource module.  translate_file joins
+    its decoding workers before it returns, so their time is in the second
+    figure by then."""
+    if resource is None:
+        return None
+    return tuple(u.ru_utime + u.ru_stime for u in map(
+        resource.getrusage, (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
 
 
 def cmd_score(args):

@@ -13,8 +13,9 @@ its rows are then dropped from every later step.
 
 Chunks are independent, so translate_file decodes them in forked worker
 processes, one per usable CPU, when a file has several chunks and the
-process may run on several CPUs; otherwise in-process.  Either way each
-chunk runs on one BLAS thread and decodes to the same bits.
+process may run on several CPUs; otherwise in-process.  It holds OpenBLAS
+to one thread from before the workers fork until they are joined, so each
+chunk runs on one BLAS thread either way and decodes to the same bits.
 """
 
 import os
@@ -171,23 +172,13 @@ def beam_search(params, config, sentences, beam=8, max_len=None, length_norm=Tru
     return results, t, rows
 
 
-def beam_decode(params, config, src1_ids, src2_ids=None, beam=8, max_len=None,
-                length_norm=True):
-    """beam_search for one sentence; returns its (tokens, score, traces)."""
-    srcs = (src1_ids,) if src2_ids is None else (src1_ids, src2_ids)
-    results, _steps, _rows = beam_search(params, config, [srcs], beam, max_len,
-                                         length_norm, keep_traces=True)
-    return results[0]
-
-
 def _decode_chunk(job, chunk):
-    """Beam-search the input lines ``chunk`` on one BLAS thread.  Returns
+    """Beam-search the input lines ``chunk``.  Returns
     ({line: (hypothesis, TSV lines)}, steps, rows): plain strings and ints,
     cheap to send back from a worker process."""
     params, config, encoded, tgt_vocab, beam, max_len, length_norm, keep_traces = job
-    with blas.one_thread():
-        results, steps, rows = beam_search(params, config, [encoded[i] for i in chunk], beam,
-                                           max_len, length_norm, keep_traces=keep_traces)
+    results, steps, rows = beam_search(params, config, [encoded[i] for i in chunk], beam,
+                                       max_len, length_norm, keep_traces=keep_traces)
     return {i: (" ".join(decode_ids(toks, tgt_vocab)), "".join(
         f"{i}\t{tpos}\t{k}\t{int(s)}\t{w:.6f}\n"
         for tpos, per_source in enumerate(traces)
@@ -229,9 +220,13 @@ def _decoded_chunks(job, chunks):
     spawn would start each worker with a fresh interpreter that imports
     numpy and msnmt before its first chunk.  msnmt starts no threads of its
     own, and OpenBLAS shuts its thread pool down before a fork (its
-    pthread_atfork handler).  Every worker is shut down and joined when the
-    block exits, however it exits.  A worker that dies raises WorkerError;
-    if a worker cannot be started, the chunks are decoded in this process."""
+    pthread_atfork handler).  A child starts that pool again at its first
+    product if its thread count is above 1, and the extra thread spins on a
+    CPU the other worker needs; so the caller holds blas.one_thread() around
+    this block, and the workers inherit a count of 1.  Every worker is shut
+    down and joined when the block exits, however it exits.  A worker that
+    dies raises WorkerError; if a worker cannot be started, the chunks are
+    decoded in this process."""
     serial = (_decode_chunk(job, chunk) for chunk in chunks)
     workers = min(len(chunks), _usable_cpus())
     if workers < 2:
@@ -273,9 +268,10 @@ def translate_file(params, config, src_paths, out_path, vocabs, beam=8,
     there are several such chunks and several usable CPUs
     (_decoded_chunks); a line blank in any source stays blank.  Hypotheses
     and TSV lines are written in input order, each line's as soon as every
-    earlier input line is done.  Returns {"sentences", "steps", "rows"}:
-    sentences decoded, decoder steps run and rows stepped over all of
-    them."""
+    earlier input line is done.  The whole decode, workers included, runs
+    on one OpenBLAS thread; the caller's count is back when it returns or
+    raises.  Returns {"sentences", "steps", "rows"}: sentences decoded,
+    decoder steps run and rows stepped over all of them."""
     if beam < 1:
         raise ConfigError(f"beam must be >= 1, got {beam}")
     if max_len is not None and max_len < 1:
@@ -314,7 +310,7 @@ def translate_file(params, config, src_paths, out_path, vocabs, beam=8,
                 raise CorpusIOError(f"cannot write {dump_attention}: {e}") from e
             tsv.write("sentence\ttarget_pos\tencoder_id\tsource_pos\tweight\n")
         job = (params, config, encoded, tgt_vocab, beam, max_len, length_norm, tsv is not None)
-        with _decoded_chunks(job, chunks) as decoded:
+        with blas.one_thread(), _decoded_chunks(job, chunks) as decoded:
             for sentences, steps, stepped in decoded:
                 stats["steps"] += steps
                 stats["rows"] += stepped

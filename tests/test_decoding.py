@@ -9,10 +9,10 @@ import pytest
 from msnmt import decoding
 from msnmt import model as M
 from msnmt.data import BOS, EOS, RESERVED, Vocabulary, decode_ids, encode_line
-from msnmt.decoding import (beam_decode, default_max_len, normalised_score,
-                            translate_file)
+from msnmt.decoding import default_max_len, normalised_score, translate_file
 from msnmt.errors import AlignmentError, ConfigError, WorkerError
 from msnmt.model import DecodeSession, ModelConfig, ModelParams, init_params
+from one_example import beam_decode
 
 
 def small_cfg(mode="single", attention="local-p", vocab=12, hidden=8):

@@ -16,9 +16,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "msnmt"
 
 ALLOWED = {
-    "attention.attend": "tests/test_acceptance.py calls it",
-    "attention.multi_attend": "tests/test_acceptance.py calls it",
-    "decoding.beam_decode": "tests/test_acceptance.py calls it",
+    "attention.attend": "perfbench/tests/test_trace.py asserts the tracer wraps it",
     "recurrent.zero_states": "perfbench/tests/test_trace.py asserts the tracer wraps it",
     "data.Vocabulary.save": "writes the file Vocabulary.load reads, which "
                             "perfbench/tests/test_trace.py asserts the tracer wraps",
