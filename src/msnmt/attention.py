@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
 from .numerics import Parameter, sigmoid
 
 
@@ -61,8 +60,6 @@ def _window_weights(h, tops, lens, p, D, w_a):
     """Windows around p [B], their softmax alignment and Gaussian-damped
     weights.  Returns (trace, gathered window states [B, W, d],
     encoder-order row index [B, W], u = W_a^T h [B, d], gauss)."""
-    if D < 1:
-        raise ConfigError(f"attention window radius D must be >= 1, got {D}")
     last = lens - 1
     center = p.astype(np.int64)                  # floor, as p > 0
     hi = np.minimum(center + D, last)[:, None]
@@ -136,8 +133,6 @@ def attend(h_t, top_seq, params: AttentionParams, D):
     """local_p for one example, top_seq [S, d] in original word order, as a
     batch of one.  Returns (ctx [1, d], trace, cache)."""
     top_seq = np.asarray(top_seq)
-    if len(top_seq) < 1:
-        raise ConfigError("attention over an empty source")
     return local_p(np.asarray(h_t)[None], top_seq[None, ::-1], np.array([len(top_seq)]),
                    params, D)
 
@@ -145,15 +140,9 @@ def attend(h_t, top_seq, params: AttentionParams, D):
 def attentional_hidden(h_t, contexts, proj: Parameter):
     """h~ = tanh(W [h_t; c_1 (; c_2)]).  Batched: h_t [B, d], each context
     [B, d]; returns ([B, d], cache)."""
-    if len(contexts) not in (1, 2):
-        raise ConfigError(f"attentional_hidden: {len(contexts)} contexts")
     h_t = np.atleast_2d(h_t)
     cat = np.concatenate([h_t, *contexts], axis=1)
     d = h_t.shape[1]
-    if proj.value.shape != (d, cat.shape[1]):
-        raise DimensionError(
-            f"output projection {proj.value.shape} vs concat width {cat.shape[1]}"
-        )
     out = np.tanh(cat @ proj.value.T)
     cache = (cat, out, d, len(contexts))
     return out, cache

@@ -46,7 +46,7 @@ TRAIN_SETTINGS = {
     "epochs": (int, 15, None),
     "lr": (float, (1.0, 0.7), None),
     "halve_after": (int, 10, "halve lr each epoch after this one"),
-    "clip": (float, 5.0, "gradient norm threshold"),
+    "clip": (float, trainer_mod.TrainConfig.clip_threshold, "gradient norm threshold"),
     "batch_size": (int, 128, None),
     "dropout": (float, (0.2, 0.3), None),
     "init_range": (float, (0.1, 0.08), None),
@@ -276,10 +276,6 @@ def _vocabs_from_meta(meta, config):
 def cmd_translate(args):
     config, params, meta = model_mod.load_checkpoint(args.checkpoint)
     src_paths = [args.src1] + ([args.src2] if args.src2 else [])
-    if len(src_paths) != config.n_sources:
-        raise CompatibilityError(
-            f"checkpoint is {config.mode} ({config.n_sources} source(s)) but "
-            f"{len(src_paths)} source file(s) were given")
     src_vocabs, tgt_vocab = _vocabs_from_meta(meta, config)
     cpu0 = _cpu_seconds()
     t0 = time.perf_counter()

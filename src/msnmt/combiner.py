@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
 from .numerics import Parameter, sigmoid
 
 
@@ -45,11 +44,6 @@ class ChildSumCombinerParams:
 
 def basic_combine(h1, c1, h2, c2, p: BasicCombinerParams):
     """h = tanh(W_c [h1; h2]); c = c1 + c2."""
-    d = h1.shape[1]
-    if p.w_c.value.shape != (d, 2 * d):
-        raise DimensionError(f"basic combiner W_c {p.w_c.value.shape}, expected {(d, 2 * d)}")
-    if h2.shape[1] != d or c1.shape[1] != d or c2.shape[1] != d:
-        raise DimensionError("basic_combine: state widths differ")
     cat = np.concatenate([h1, h2], axis=1)
     h = np.tanh(cat @ p.w_c.value.T)
     c = c1 + c2
@@ -69,10 +63,6 @@ def basic_combine_backward(dh, dc, cache, p: BasicCombinerParams):
 def childsum_combine(h1, c1, h2, c2, p: ChildSumCombinerParams):
     """Child-Sum style merge: shared input/output/candidate gates over both
     hidden states, separate forget gate per incoming cell."""
-    d = h1.shape[1]
-    for w in p.all():
-        if w.value.shape != (d, d):
-            raise DimensionError(f"childsum combiner {w.name} {w.value.shape}, expected {(d, d)}")
     i = sigmoid(h1 @ p.w1_i.value.T + h2 @ p.w2_i.value.T)
     f1 = sigmoid(h1 @ p.w1_f.value.T)
     f2 = sigmoid(h2 @ p.w2_f.value.T)
@@ -117,13 +107,7 @@ def childsum_combine_backward(dh, dc_in, cache, p: ChildSumCombinerParams):
 def combine_stacks(states1, states2, method, layer_params):
     """Merge two per-layer state stacks with the chosen method, one combiner
     per layer with that layer's own parameters."""
-    if len(states1) != len(states2) or len(states1) != len(layer_params):
-        raise DimensionError(
-            f"combine_stacks: layer counts {len(states1)}/{len(states2)}/{len(layer_params)}"
-        )
     fwd = basic_combine if method == "basic" else childsum_combine
-    if method not in ("basic", "childsum"):
-        raise ConfigError(f"unknown combiner method {method!r}")
     out = []
     caches = []
     for (h1, c1), (h2, c2), p in zip(states1, states2, layer_params):

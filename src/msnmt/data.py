@@ -7,7 +7,7 @@ at id-encoding time; targets are not.  Reserved ids: 0 <pad>, 1 <s>, 2 </s>,
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -201,8 +201,6 @@ def encode_tuples(tuples, src_vocabs, tgt_vocab):
 def batchify(id_tuples, batch_size, rng):
     """Sort by target length, shuffle bucket-internally and across batches
     with the given seeded generator, group into batches of <= batch_size."""
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     order = np.arange(len(id_tuples))
     rng.shuffle(order)  # randomize ties before the stable length sort
     order = order[np.argsort([len(id_tuples[i][-1]) for i in order], kind="stable")]

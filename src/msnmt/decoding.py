@@ -26,7 +26,7 @@ import numpy as np
 from . import blas
 from .attention import AttentionTrace
 from .data import BOS, EOS, PAD, decode_ids, encode_line, read_aligned
-from .errors import ConfigError, CorpusIOError, WorkerError
+from .errors import CompatibilityError, ConfigError, CorpusIOError, WorkerError
 from .model import DecodeSession
 
 # Rows decoded together: a chunk holds max(1, ROWS // beam) sentences, so
@@ -79,9 +79,10 @@ def beam_search(params, config, sentences, beam=8, max_len=None, length_norm=Tru
                 keep_traces=False):
     """Length-capped beam search for a batch of sentences at once.
 
-    sentences: list of tuples, one reversed source id list per source.  Each
-    sentence has its own cap, ``max_len`` or else default_max_len(its source
-    lengths).  A finished hypothesis uses up its slot.  The best finished
+    sentences: list of tuples, one non-empty reversed source id list per
+    source.  beam >= 1 and max_len >= 1 or None, as translate_file checks.
+    Each sentence has its own cap, ``max_len`` or else default_max_len(its
+    source lengths).  A finished hypothesis uses up its slot.  The best finished
     hypothesis wins (by average per-token log-probability, or by
     log-probability without ``length_norm``); the best live one if none
     finished within the cap.
@@ -100,10 +101,6 @@ def beam_search(params, config, sentences, beam=8, max_len=None, length_norm=Tru
     emitted token, </s> included, one batch-of-one attention trace per
     source (none without attention); otherwise it is empty.
     """
-    if beam < 1:
-        raise ConfigError(f"beam must be >= 1, got {beam}")
-    if max_len is not None and max_len < 1:
-        raise ConfigError(f"max_len must be >= 1, got {max_len}")
     sess = DecodeSession(params, config, sentences, beam)
     n, V = len(sentences), config.tgt_vocab_size
     # per open sentence: its index, cap, slot scores and best finished rank
@@ -271,7 +268,12 @@ def translate_file(params, config, src_paths, out_path, vocabs, beam=8,
     earlier input line is done.  The whole decode, workers included, runs
     on one OpenBLAS thread; the caller's count is back when it returns or
     raises.  Returns {"sentences", "steps", "rows"}: sentences decoded,
-    decoder steps run and rows stepped over all of them."""
+    decoder steps run and rows stepped over all of them.  One source file
+    per source of the model, or CompatibilityError."""
+    if len(src_paths) != config.n_sources:
+        raise CompatibilityError(
+            f"checkpoint is {config.mode} ({config.n_sources} source(s)) but "
+            f"{len(src_paths)} source file(s) were given")
     if beam < 1:
         raise ConfigError(f"beam must be >= 1, got {beam}")
     if max_len is not None and max_len < 1:

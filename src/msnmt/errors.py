@@ -3,6 +3,13 @@
 Every error carries an ``exit_code`` so the CLI can map failures onto its
 documented exit statuses (1 validation, 2 I/O or a lost worker process,
 3 numeric, 4 compatibility).
+
+Input is checked once, where it enters msnmt: the CLI, the configs'
+``validate``, the corpus, vocabulary and checkpoint readers, and
+``translate_file`` and ``score_files``.  Every shape, id, count and radius
+inside follows from what those checks accepted, so the layers (encoder,
+combiner, attention, decoder) raise no error for them; only NumericError
+can arise inside, as training can diverge.
 """
 
 
@@ -12,12 +19,6 @@ class MsnmtError(Exception):
 
 class ConfigError(MsnmtError):
     """Bad or inconsistent configuration / argument values."""
-
-    exit_code = 1
-
-
-class DimensionError(MsnmtError):
-    """Tensor shapes do not agree for the requested operation."""
 
     exit_code = 1
 

@@ -32,10 +32,6 @@ def _ngrams(tokens, n):
 
 def modified_precision(hyps, refs, n):
     """Corpus-level clipped n-gram matches and totals."""
-    if len(hyps) != len(refs):
-        raise ConfigError(f"hyp/ref segment counts differ: {len(hyps)} vs {len(refs)}")
-    if not 1 <= n <= 4:
-        raise ConfigError(f"n must be in 1..4, got {n}")
     matches, total = 0, 0
     for h, r in zip(hyps, refs):
         hc = _ngrams(h, n)
@@ -46,9 +42,8 @@ def modified_precision(hyps, refs, n):
 
 
 def bleu(hyps, refs):
-    """hyps/refs: lists of token lists, compared byte-exactly."""
-    if len(hyps) != len(refs):
-        raise ConfigError(f"hyp/ref segment counts differ: {len(hyps)} vs {len(refs)}")
+    """hyps/refs: lists of token lists, compared byte-exactly; as many of
+    each, as score_files reads them (read_aligned)."""
     if not hyps or all(len(h) == 0 for h in hyps):
         raise ConfigError("empty hypothesis corpus")
     hyp_len = sum(len(h) for h in hyps)

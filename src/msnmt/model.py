@@ -18,8 +18,7 @@ from . import attention as attn_mod
 from . import combiner as comb_mod
 from . import recurrent as rec_mod
 from .data import pad_ids
-from .errors import (CompatibilityError, ConfigError, CorpusIOError, NumericError,
-                     VocabularyError)
+from .errors import CompatibilityError, ConfigError, CorpusIOError, NumericError
 from .numerics import Parameter, log_softmax
 from .rngs import rng_stream
 
@@ -168,8 +167,6 @@ class ModelParams:
         self.softmax_b = new("softmax.b", (config.tgt_vocab_size,))
 
     def _new(self, name, shape):
-        if name in self.registry:
-            raise ConfigError(f"duplicate parameter name {name}")
         start, self._end = self._end, self._end + math.prod(shape)
         p = Parameter(name, self.value[start:self._end].reshape(shape), grad=None)
         self.registry[name] = p
@@ -240,11 +237,6 @@ def make_dropout_masks(config: ModelConfig, params: ModelParams, batch_size, rng
         "htilde": mk(d) if config.use_attention else None,
     }
     return masks
-
-
-def _check_ids(ids, vocab_size, what):
-    if ids.size and (ids.max() >= vocab_size or ids.min() < 0):
-        raise VocabularyError(f"{what}: token id outside vocabulary of size {vocab_size}")
 
 
 def _encode_sources(params: ModelParams, config: ModelConfig, sources, enc_masks=None,
@@ -326,21 +318,13 @@ def forward_loss(batch, params: ModelParams, config: ModelConfig,
 
     sources, lens = [(batch.src1, batch.src1_mask)], [batch.src1_len]
     if config.n_sources == 2:
-        if batch.src2 is None:
-            raise ConfigError("multi-source model but the batch has no second source")
         sources.append((batch.src2, batch.src2_mask))
         lens.append(batch.src2_len)
-    elif batch.src2 is not None:
-        raise ConfigError("single-source model but the batch carries a second source")
-    _check_ids(batch.tgt_in, config.tgt_vocab_size, "target")
 
     masks = make_dropout_masks(config, params, B, rng) if (train_mode and rng is not None) else None
 
     dec_states, enc_tops, enc_caches, comb_cache = _encode_sources(
         params, config, sources, masks["enc"] if masks else None, tape)
-
-    if config.use_attention and min(l.min() for l in lens) < 1:
-        raise ConfigError("attention over an empty source sentence")
 
     Tt = batch.tgt_in.shape[1]
     htilde_prev = np.zeros((B, d))
@@ -450,22 +434,17 @@ def _spread(out, part, width):
 class DecodeSession:
     """Incremental decoding of a batch of sentences over frozen parameters.
 
-    ``sentences`` is a list of tuples holding one reversed id list per source.
-    Each sentence owns ``width`` consecutive rows (its beam slots), so row r
-    decodes sentence r // width until ``keep_rows`` drops some rows.  The
-    sources are encoded without a tape, ENCODE_SLICE sentences at a time,
+    ``sentences`` is a list of tuples holding one non-empty reversed id list
+    per source of the model (translate_file makes them so).  Each sentence
+    owns ``width`` consecutive rows (its beam slots), so row r decodes
+    sentence r // width until ``keep_rows`` drops some rows.  The sources
+    are encoded without a tape, ENCODE_SLICE sentences at a time,
     each slice padded to its own longest source.  Every row's initial states,
     and with attention its top states and length, are written once, here;
     without attention no source states are kept.
     """
 
     def __init__(self, params: ModelParams, config: ModelConfig, sentences, width=1):
-        for srcs in sentences:
-            if len(srcs) != config.n_sources:
-                raise ConfigError(f"{config.mode} model needs {config.n_sources} source "
-                                  f"sentence(s), got {len(srcs)}")
-            if min(map(len, srcs)) == 0:
-                raise ConfigError("decoding an empty source sentence")
         self.params = params
         self.config = config
         n, d = len(sentences), config.hidden

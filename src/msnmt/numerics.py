@@ -9,7 +9,7 @@ recorded forward order.
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import ConfigError, NumericError
 
 
 # the default gradient of a Parameter: a zero array of its own
@@ -27,10 +27,6 @@ class Parameter:
     def __init__(self, name, value, grad=_OWN_ZEROS):
         if grad is _OWN_ZEROS:
             grad = np.zeros_like(value)
-        elif grad is not None and grad.shape != value.shape:
-            raise DimensionError(
-                f"{name}: grad shape {grad.shape} != value shape {value.shape}"
-            )
         self.name = name
         self.value = value
         self.grad = grad

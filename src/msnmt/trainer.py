@@ -24,16 +24,19 @@ from .rngs import rng_stream
 
 @dataclass
 class TrainConfig:
-    epochs: int = 15
-    lr0: float = 1.0                 # 0.7 for attention models
-    halve_after_epoch: int = 10
+    """Every setting but clip_threshold is passed; their defaults are the
+    train command's (cli.TRAIN_SETTINGS)."""
+
+    epochs: int
+    lr0: float
+    halve_after_epoch: int
+    batch_size: int
+    dropout: float
+    init_range: float
+    seed: int
+    max_len: int
+    vocab_size: int
     clip_threshold: float = 5.0
-    batch_size: int = 128
-    dropout: float = 0.2             # 0.3 for attention models
-    init_range: float = 0.1          # 0.08 for attention models
-    seed: int = 1
-    max_len: int = 50
-    vocab_size: int = 10000
 
     def validate(self):
         errs = []

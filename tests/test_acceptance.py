@@ -21,6 +21,7 @@ from msnmt.evaluation import bleu, score_files
 from msnmt.model import ModelConfig
 from msnmt.trainer import TrainConfig, clip_rescale, lr_at, train
 from one_example import beam_decode, multi_attend
+from recipe import train_config
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -78,7 +79,7 @@ def copy500():
 
 
 COPY_TRAIN_CFG = dict(epochs=30, lr0=0.5, halve_after_epoch=20, batch_size=16,
-                      dropout=0.0, init_range=0.5, seed=3, vocab_size=60)
+                      dropout=0.0, init_range=0.5, seed=3, max_len=50, vocab_size=60)
 
 
 @pytest.fixture(scope="session")
@@ -102,7 +103,7 @@ def triangulate_data():
 def triangulate_runs(triangulate_data, tmp_path_factory):
     train_tuples, test_tuples = triangulate_data
     cfg = TrainConfig(epochs=10, lr0=0.5, halve_after_epoch=7, batch_size=16,
-                      dropout=0.0, init_range=0.5, seed=5, vocab_size=60)
+                      dropout=0.0, init_range=0.5, seed=5, max_len=50, vocab_size=60)
     runs = {}
     for mode in ("single", "multi-basic", "multi-childsum"):
         data = train_tuples if mode != "single" else [(a, t) for a, _, t in train_tuples]
@@ -124,7 +125,7 @@ def null_control_runs(copy2000, tmp_path_factory):
     """Single-source vs duplicated-source multi on the same copy corpus."""
     train_tuples, _ = copy2000
     cfg = TrainConfig(epochs=12, lr0=0.5, halve_after_epoch=8, batch_size=16,
-                      dropout=0.2, init_range=0.5, seed=3, vocab_size=60)
+                      dropout=0.2, init_range=0.5, seed=3, max_len=50, vocab_size=60)
     out_s = str(tmp_path_factory.mktemp("null-single"))
     single = train_on_lines(train_tuples, "single", "local-p", 64, 2, cfg, out_s)
     dup = [(s, s, t) for s, t in train_tuples]
@@ -353,7 +354,7 @@ class TestCriterion7BleuScorer:
 
 class TestCriterion8ScheduleClipping:
     def test_schedule_and_clipping(self):
-        cfg = TrainConfig(epochs=15, lr0=1.0, halve_after_epoch=10)
+        cfg = train_config(epochs=15, lr0=1.0, halve_after_epoch=10)
         lrs = [lr_at(e, cfg) for e in range(1, 16)]
         want = [1.0] * 10 + [0.5, 0.25, 0.125, 0.0625, 0.03125]
         ok = lrs == want

@@ -3,7 +3,6 @@ import pytest
 
 from msnmt.attention import (AttentionParams, attend, attentional_hidden,
                              attentional_hidden_backward, local_p, local_p_backward)
-from msnmt.errors import ConfigError, DimensionError
 from msnmt.numerics import Parameter, finite_difference_grad, sigmoid
 from one_example import multi_attend
 
@@ -50,10 +49,6 @@ class TestPredictPosition:
             q = sum(p.v_p.value[i] * m[i] for i in range(d))
             assert trace.p_t[b] == pytest.approx(S * sigmoid(q), abs=1e-12)
 
-    def test_bad_length(self):
-        with pytest.raises(ConfigError):
-            attend(np.zeros(2), np.zeros((0, 2)), make_params(2), 1)
-
 
 class TestWindowWeights:
     def test_zero_score_uniform_align(self):
@@ -85,11 +80,6 @@ class TestWindowWeights:
         _, trace, _ = local_p(h, tops, lens, p, 10)
         for b, S in enumerate(lens):
             assert trace.window[b, trace.valid[b]].tolist() == list(range(S))
-
-    def test_zero_radius_rejected(self):
-        h, tops, lens = batch(np.random.default_rng(0), [3], 2)
-        with pytest.raises(ConfigError):
-            local_p(h, tops, lens, make_params(2), 0)
 
     def test_align_sums_to_one(self):
         rng = np.random.default_rng(6)
@@ -145,11 +135,6 @@ class TestAttentionalHidden:
         out, _ = attentional_hidden(h, [c1, c2], proj)
         cat = np.concatenate([h, c1, c2], axis=1)
         assert np.allclose(out, np.tanh(cat @ proj.value.T), atol=1e-15)
-
-    def test_width_mismatch(self):
-        with pytest.raises(DimensionError):
-            attentional_hidden(np.zeros((1, 3)), [np.zeros((1, 3))],
-                               Parameter("p", np.zeros((3, 9))))
 
     def test_backward_vs_fd(self):
         rng = np.random.default_rng(11)

@@ -10,7 +10,7 @@ from msnmt import trainer as T
 from msnmt.data import Vocabulary
 from msnmt.errors import WorkerError
 from msnmt.model import ModelConfig
-from msnmt.trainer import TrainConfig
+from recipe import train_config
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "decode")
 
@@ -61,7 +61,7 @@ class TestOneThread:
                           src_vocab_sizes=(12,), tgt_vocab_size=12)
         tuples = [([5, 4], [4, 5]), ([6, 7, 8], [8, 7, 6])]
         with mock.patch.object(T.model_mod, "backward", spy):
-            T.train(cfg, TrainConfig(epochs=1, batch_size=2), tuples, tuples, str(tmp_path))
+            T.train(cfg, train_config(epochs=1, batch_size=2), tuples, tuples, str(tmp_path))
         assert seen == [1]
         assert _threads() == before
 

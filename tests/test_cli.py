@@ -224,6 +224,17 @@ class TestTrainValidation:
         assert "finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--attention", "local-p", "--window", "0"], "window radius D must be >= 1"),
+        (["--batch-size", "0"], "batch_size must be >= 1"),
+        (["--dropout", "1"], "dropout must be in [0,1)"),
+        (["--layers", "0"], "layers must be >= 1")],
+        ids=["window-0", "batch-size-0", "dropout-1", "layers-0"])
+    def test_out_of_range_setting_exit_code(self, tmp_path, capsys, flags, message):
+        assert run_cli(self.tiny_run(tmp_path, tmp_path / "out", *flags)) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_report_path_is_a_directory_exit_code(self, tmp_path, capsys):
         (tmp_path / "out" / "report.tsv").mkdir(parents=True)
         rc = run_cli(self.tiny_run(tmp_path, tmp_path / "out"))

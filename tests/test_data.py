@@ -245,10 +245,6 @@ class TestBatchify:
         want = sorted((tuple(s), tuple(t)) for s, t in tuples)
         assert sorted(seen) == want
 
-    def test_bad_batch_size(self):
-        with pytest.raises(ConfigError):
-            batchify(self._tuples(3), 0, np.random.default_rng(0))
-
 
 class TestReadLines:
     def test_reads_lines(self, tmp_path):

@@ -10,7 +10,7 @@ from msnmt import decoding
 from msnmt import model as M
 from msnmt.data import BOS, EOS, RESERVED, Vocabulary, decode_ids, encode_line
 from msnmt.decoding import default_max_len, normalised_score, translate_file
-from msnmt.errors import AlignmentError, ConfigError, WorkerError
+from msnmt.errors import AlignmentError, CompatibilityError, ConfigError, WorkerError
 from msnmt.model import DecodeSession, ModelConfig, ModelParams, init_params
 from one_example import beam_decode
 
@@ -168,21 +168,6 @@ class TestBeamDecode:
         _, _, traces = beam_decode(params, cfg, [4, 5, 6], beam=2)
         for per_source in traces:
             assert per_source == []
-
-    def test_bad_beam(self):
-        cfg = small_cfg()
-        with pytest.raises(ConfigError):
-            beam_decode(ModelParams(cfg), cfg, [4], beam=0)
-
-    def test_bad_max_len(self):
-        cfg = small_cfg()
-        with pytest.raises(ConfigError):
-            beam_decode(ModelParams(cfg), cfg, [4], max_len=0)
-
-    def test_empty_source(self):
-        cfg = small_cfg()
-        with pytest.raises(ConfigError):
-            beam_decode(ModelParams(cfg), cfg, [])
 
 
 A, B = 4, 5                          # the two real target types of ScriptedSession
@@ -411,6 +396,18 @@ class TestTranslateFile:
         with pytest.raises(ConfigError):
             translate_file(ModelParams(cfg), cfg, [str(src)], str(tmp_path / "out"), ([v], v),
                            beam=beam, max_len=max_len)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode, n_files", [("single", 2), ("multi-basic", 1)])
+    def test_source_file_count_refused_before_any_file(self, tmp_path, mode, n_files):
+        cfg = small_cfg(mode)
+        v = self._vocab()
+        paths = [tmp_path / f"src{k}" for k in range(n_files)]
+        for path in paths:
+            path.write_text("w1 w2\n\n", encoding="utf-8")
+        with pytest.raises(CompatibilityError, match=f"{n_files} source file"):
+            translate_file(ModelParams(cfg), cfg, list(map(str, paths)), str(tmp_path / "out"),
+                           ([v] * cfg.n_sources, v))
         assert not (tmp_path / "out").exists()
 
     def test_misaligned_sources(self, tmp_path):

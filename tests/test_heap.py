@@ -3,7 +3,7 @@ from unittest import mock
 from msnmt import heap
 from msnmt import trainer as T
 from msnmt.model import ModelConfig
-from msnmt.trainer import TrainConfig
+from recipe import train_config
 
 
 def test_sets_trim_then_mmap_threshold():
@@ -23,7 +23,7 @@ def test_training_without_mallopt(tmp_path):
                       src_vocab_sizes=(12,), tgt_vocab_size=12)
     tuples = [([5, 4], [4, 5]), ([6, 7, 8], [8, 7, 6])]
     with mock.patch.object(heap, "glibc_mallopt", return_value=None) as found:
-        report, _ = T.train(cfg, TrainConfig(epochs=1, batch_size=2), tuples, tuples,
+        report, _ = T.train(cfg, train_config(epochs=1, batch_size=2), tuples, tuples,
                             str(tmp_path))
     found.assert_called_once_with()
     assert len(report.epochs) == 1

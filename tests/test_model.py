@@ -11,7 +11,7 @@ from msnmt import gradcheck as gc
 from msnmt import model as M
 from msnmt import trainer as T
 from msnmt.data import Batch, make_batch
-from msnmt.errors import CompatibilityError, ConfigError, NumericError, VocabularyError
+from msnmt.errors import CompatibilityError, ConfigError, NumericError
 from msnmt.numerics import finite_difference_grad
 
 
@@ -188,14 +188,6 @@ class TestForwardLoss:
         assert tape is not None and none is None
         assert (nll_bare, ntok_bare) == (nll, ntok)
 
-    def test_out_of_vocab_target(self):
-        cfg = tiny_config()
-        params = M.ModelParams(cfg)
-        batch = tiny_batch(cfg)
-        batch.tgt_in[0, 0] = 99
-        with pytest.raises(VocabularyError):
-            M.forward_loss(batch, params, cfg)
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_aborts_with_step(self):
         cfg = tiny_config()
@@ -203,14 +195,6 @@ class TestForwardLoss:
         params.softmax_b.value[0] = np.inf
         with pytest.raises(NumericError, match="step"):
             M.forward_loss(tiny_batch(cfg), params, cfg)
-
-    def test_missing_second_source(self):
-        cfg = tiny_config("multi-basic")
-        params = M.ModelParams(cfg)
-        single_cfg = tiny_config("single")
-        batch = gc.make_toy_batch(single_cfg, 3, 0)
-        with pytest.raises(ConfigError):
-            M.forward_loss(batch, params, cfg)
 
 
 class TestBackward:

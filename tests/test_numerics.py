@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msnmt.errors import ConfigError, DimensionError, NumericError
+from msnmt.errors import ConfigError, NumericError
 from msnmt.numerics import Parameter, finite_difference_grad, log_softmax, sigmoid
 
 
@@ -80,9 +80,3 @@ class TestFiniteDifference:
         theta = Parameter("theta", np.array([0.0]))
         with pytest.raises(ConfigError):
             finite_difference_grad(lambda: 0.0, [theta], epsilon=0.0)
-
-
-class TestParameter:
-    def test_grad_shape_enforced(self):
-        with pytest.raises(DimensionError):
-            Parameter("p", np.ones(3), grad=np.zeros(4))

@@ -14,6 +14,7 @@ from msnmt.errors import ConfigError, CorpusIOError, NumericError
 from msnmt.model import ModelConfig, init_params
 from msnmt.trainer import (TrainConfig, clip_rescale, global_grad_norm, lr_at,
                            sgd_step, train)
+from recipe import train_config
 
 
 def small_model_cfg(mode="single", attention="none"):
@@ -35,19 +36,19 @@ def copy_tuples(n, n_src, seed=0, vmax=12):
 
 class TestSchedule:
     def test_full_sequence(self):
-        cfg = TrainConfig(epochs=14, lr0=1.0, halve_after_epoch=10)
+        cfg = train_config(epochs=14, lr0=1.0, halve_after_epoch=10)
         lrs = [lr_at(e, cfg) for e in range(1, 15)]
         assert lrs == [1.0] * 10 + [0.5, 0.25, 0.125, 0.0625]
 
     def test_out_of_range_epoch(self):
-        cfg = TrainConfig(epochs=3)
+        cfg = train_config(epochs=3)
         with pytest.raises(ConfigError):
             lr_at(4, cfg)
         with pytest.raises(ConfigError):
             lr_at(0, cfg)
 
     def test_validate_collects_errors(self):
-        cfg = TrainConfig(epochs=0, lr0=-1, dropout=1.5)
+        cfg = train_config(epochs=0, lr0=-1, dropout=1.5)
         with pytest.raises(ConfigError) as e:
             cfg.validate()
         msg = str(e.value)
@@ -105,8 +106,8 @@ class TestClipAndStep:
 class TestTrainLoop:
     def test_one_sgd_call_per_batch(self, tmp_path):
         model_cfg = small_model_cfg()
-        train_cfg = TrainConfig(epochs=1, batch_size=4, dropout=0.0,
-                                init_range=0.3, seed=2)
+        train_cfg = train_config(epochs=1, batch_size=4, dropout=0.0,
+                                 init_range=0.3, seed=2)
         tuples = copy_tuples(14, 1)
         with mock.patch.object(T, "sgd_step", wraps=T.sgd_step) as spy:
             train(model_cfg, train_cfg, tuples, tuples[:4], str(tmp_path / "r"))
@@ -117,8 +118,8 @@ class TestTrainLoop:
         ("multi-basic", "local-p"), ("multi-childsum", "local-p")])
     def test_loss_decreases(self, tmp_path, mode, attention):
         model_cfg = small_model_cfg(mode, attention)
-        train_cfg = TrainConfig(epochs=5, lr0=0.5, halve_after_epoch=5,
-                                batch_size=8, dropout=0.0, init_range=0.4, seed=3)
+        train_cfg = train_config(epochs=5, lr0=0.5, halve_after_epoch=5,
+                                 batch_size=8, dropout=0.0, init_range=0.4, seed=3)
         n_src = model_cfg.n_sources
         tuples = copy_tuples(24, n_src, seed=4)
         report, _ = train(model_cfg, train_cfg, tuples, tuples[:8],
@@ -128,8 +129,8 @@ class TestTrainLoop:
 
     def test_artifacts_written(self, tmp_path):
         model_cfg = small_model_cfg()
-        train_cfg = TrainConfig(epochs=2, batch_size=8, dropout=0.0,
-                                init_range=0.3, seed=5)
+        train_cfg = train_config(epochs=2, batch_size=8, dropout=0.0,
+                                 init_range=0.3, seed=5)
         tuples = copy_tuples(10, 1, seed=6)
         out = tmp_path / "run"
         report, _ = train(model_cfg, train_cfg, tuples, tuples[:4], str(out))
@@ -164,8 +165,8 @@ class TestTrainLoop:
     def test_resume_is_bit_exact(self, tmp_path):
         """Epochs 1-4 straight through == epochs 1-2, reload, epochs 3-4."""
         model_cfg = small_model_cfg("single", "local-p")
-        train_cfg = TrainConfig(epochs=4, lr0=0.4, halve_after_epoch=2,
-                                batch_size=8, dropout=0.2, init_range=0.3, seed=7)
+        train_cfg = train_config(epochs=4, lr0=0.4, halve_after_epoch=2,
+                                 batch_size=8, dropout=0.2, init_range=0.3, seed=7)
         tuples = copy_tuples(16, 1, seed=8)
         dev = tuples[:4]
 
@@ -201,7 +202,7 @@ class TestTrainLoop:
             return nll, ntok, got
 
         model_cfg = small_model_cfg("multi-basic", "local-p")
-        train_cfg = TrainConfig(epochs=2, batch_size=4, init_range=0.3, seed=11)
+        train_cfg = train_config(epochs=2, batch_size=4, init_range=0.3, seed=11)
         tuples = copy_tuples(10, 2, seed=12)
         gc.disable()
         try:
@@ -214,7 +215,7 @@ class TestTrainLoop:
 
     def test_resumed_params_get_gradients(self, tmp_path):
         model_cfg = small_model_cfg()
-        train_cfg = TrainConfig(epochs=1, batch_size=4, init_range=0.3, seed=13)
+        train_cfg = train_config(epochs=1, batch_size=4, init_range=0.3, seed=13)
         tuples = copy_tuples(8, 1, seed=14)
         params = M.init_params(model_cfg, 1, 0.3)
         M.save_checkpoint(str(tmp_path / "ck"), model_cfg, params)
@@ -227,8 +228,8 @@ class TestTrainLoop:
 
     def test_overfits_single_batch(self, tmp_path):
         model_cfg = small_model_cfg("single", "local-p")
-        train_cfg = TrainConfig(epochs=150, lr0=1.0, halve_after_epoch=120,
-                                batch_size=4, dropout=0.0, init_range=0.5, seed=9)
+        train_cfg = train_config(epochs=150, lr0=1.0, halve_after_epoch=120,
+                                 batch_size=4, dropout=0.0, init_range=0.5, seed=9)
         tuples = copy_tuples(4, 1, seed=10)
         report, params = train(model_cfg, train_cfg, tuples, tuples,
                                str(tmp_path / "over"))
