@@ -286,6 +286,9 @@ def cmd_translate(args):
                                    length_norm=not args.no_length_norm)
     seconds = time.perf_counter() - t0
     steps = stats["steps"]
+    workers = stats["workers"]
+    log(f"decoded {stats['chunks']} chunk(s) in "
+        + (f"{workers} worker processes" if workers else "this process"))
     log(f"translated {stats['sentences']} sentences in {seconds:.3f} s "
         f"({stats['sentences'] / seconds:.1f} sent/s); {steps} decoder steps, "
         f"{stats['rows'] / steps if steps else 0.0:.1f} rows per step")

@@ -13,9 +13,17 @@ its rows are then dropped from every later step.
 
 Chunks are independent, so translate_file decodes them in forked worker
 processes, one per usable CPU, when a file has several chunks and the
-process may run on several CPUs; otherwise in-process.  It holds OpenBLAS
-to one thread from before the workers fork until they are joined, so each
-chunk runs on one BLAS thread either way and decodes to the same bits.
+process may run on several CPUs; otherwise in-process.  A file that gives
+fewer chunks than there are usable CPUs, but holds at least SPLIT_TOKENS
+source tokens, is instead cut into one chunk per CPU, of about equal source
+tokens, so that every CPU decodes a part of it.  translate_file holds
+OpenBLAS to one thread from before the workers fork until they are joined,
+so each chunk runs on one BLAS thread either way and decodes to the same
+bits.  Which sentences share a chunk can move their attention weights in
+the last bits (a product's rows round with its row count, and a window's
+width follows the chunk's longest source), as any change of chunking can;
+the hypotheses have matched one-CPU decoding in every test and benchmark
+comparison.
 """
 
 import os
@@ -43,6 +51,16 @@ from .model import DecodeSession
 # move.  These RSS figures were measured under glibc's dynamic malloc
 # thresholds, before training fixed them (heap.keep_freed_heap).
 ROWS = 128
+
+# A file that gives fewer chunks than there are usable CPUs is cut into one
+# chunk per CPU only once its sentences hold this many source tokens (all
+# sources counted): below it, starting and joining the workers costs more
+# than the other CPU saves.  Greedy decoding of multi-localp-long's first N
+# test lines on a 2-vCPU KVM guest (medians of 20 calls, in-process against
+# split in two): 1.1K tokens 33.5 / 45.0 ms, 1.7K 39.8 / 38.0 ms, 2.2K
+# 49.8 / 49.9 ms, 3.4K 65.5 / 56.8 ms, all 120 lines (8.5K) 143.6 / 108.1 ms;
+# 120 single-none lines (0.9K) 26.8 / 31.1 ms.
+SPLIT_TOKENS = 2048
 
 
 def default_max_len(src_lengths):
@@ -184,6 +202,27 @@ def _decode_chunk(job, chunk):
         for i, (toks, _score, traces) in zip(chunk, results)}, steps, rows
 
 
+def _chunks(todo, encoded, size, cpus):
+    """The input lines ``todo``, in length order, cut into contiguous chunks
+    to decode apart: ``size`` sentences each; or, where that gives fewer
+    chunks than ``cpus`` and the lines hold SPLIT_TOKENS source tokens or
+    more, min(cpus, len(todo)) chunks of at most ``size`` sentences, each cut
+    at the line nearest an equal share of the source tokens."""
+    chunks = [todo[start:start + size] for start in range(0, len(todo), size)]
+    tokens = np.cumsum([0] + [sum(map(len, encoded[i])) for i in todo])
+    if len(chunks) >= cpus or tokens[-1] < SPLIT_TOKENS:
+        return chunks
+    n = min(cpus, len(todo))
+    cuts = [0]
+    for k in range(1, n):
+        nearest = int(np.argmin(np.abs(tokens - k * tokens[-1] / n)))
+        # every chunk gets a sentence, and none more than `size`
+        low = max(cuts[-1] + 1, len(todo) - (n - k) * size)
+        cuts.append(min(max(nearest, low), cuts[-1] + size, len(todo) - (n - k)))
+    cuts.append(len(todo))
+    return [todo[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
 def _usable_cpus():
     """CPUs this process may run on; 1 where the OS does not say (no
     sched_getaffinity, as on macOS and Windows)."""
@@ -205,11 +244,13 @@ def _decode_in_worker(chunk):
 
 
 @contextmanager
-def _decoded_chunks(job, chunks):
-    """An iterator over _decode_chunk(job, chunk) for every chunk, in chunk
-    order.  With several chunks and several usable CPUs the chunks are
-    decoded in forked worker processes, one per CPU; otherwise in this
-    process, one after another.  A chunk decodes to the same bits in either.
+def _decoded_chunks(job, chunks, cpus):
+    """(an iterator over _decode_chunk(job, chunk) for every chunk, in chunk
+    order; the number of worker processes decoding them).  With several
+    chunks and ``cpus`` above 1 the chunks are decoded in forked worker
+    processes, one per chunk up to one per CPU; otherwise in this process,
+    one after another, and the number is 0.  A chunk decodes to the same bits
+    in either.
 
     The workers are started by fork, so they inherit the job (model and
     encoded lines) through _start_worker instead of receiving a pickled
@@ -225,9 +266,9 @@ def _decoded_chunks(job, chunks):
     dies raises WorkerError; if a worker cannot be started, the chunks are
     decoded in this process."""
     serial = (_decode_chunk(job, chunk) for chunk in chunks)
-    workers = min(len(chunks), _usable_cpus())
+    workers = min(len(chunks), cpus)
     if workers < 2:
-        yield serial
+        yield serial, 0
         return
     # imported here, so a serial translation does not pay their import
     # (20-30 ms and 1.2 MB of RSS after numpy)
@@ -248,8 +289,8 @@ def _decoded_chunks(job, chunks):
             for p in set(multiprocessing.active_children()) - before:
                 p.terminate()
                 p.join()
-            decoded = serial
-        yield decoded
+            decoded, workers = serial, 0
+        yield decoded, workers
     except BrokenProcessPool as e:
         raise WorkerError(f"a decoding worker process died: {e}") from e
     finally:
@@ -260,16 +301,19 @@ def translate_file(params, config, src_paths, out_path, vocabs, beam=8,
                    max_len=None, dump_attention=None, length_norm=True):
     """One output line per input line; optional alignment TSV
     (sentence, target_pos, encoder_id, source_pos, weight).  Non-blank lines
-    are sorted by their longest source (stably) and decoded
-    max(1, ROWS // beam) sentences at a time, in worker processes where
-    there are several such chunks and several usable CPUs
-    (_decoded_chunks); a line blank in any source stays blank.  Hypotheses
+    are sorted by their longest source (stably) and decoded in chunks of
+    max(1, ROWS // beam) sentences, or, where those are fewer than the usable
+    CPUs and the file is large enough, in one chunk per CPU (_chunks); in
+    worker processes where there are several chunks and several usable CPUs
+    (_decoded_chunks).  A line blank in any source stays blank.  Hypotheses
     and TSV lines are written in input order, each line's as soon as every
     earlier input line is done.  The whole decode, workers included, runs
     on one OpenBLAS thread; the caller's count is back when it returns or
-    raises.  Returns {"sentences", "steps", "rows"}: sentences decoded,
-    decoder steps run and rows stepped over all of them.  One source file
-    per source of the model, or CompatibilityError."""
+    raises.  Returns {"sentences", "steps", "rows", "chunks", "workers"}:
+    sentences decoded, decoder steps run and rows stepped over all of them,
+    chunks decoded and the worker processes that decoded them (0 in this
+    process).  One source file per source of the model, or
+    CompatibilityError."""
     if len(src_paths) != config.n_sources:
         raise CompatibilityError(
             f"checkpoint is {config.mode} ({config.n_sources} source(s)) but "
@@ -284,9 +328,9 @@ def translate_file(params, config, src_paths, out_path, vocabs, beam=8,
     encoded = {i: tuple(encode_line(r, v, reverse=True) for r, v in zip(rows[i], src_vocabs))
                for i in todo}
     todo.sort(key=lambda i: max(map(len, encoded[i])))
-    size = max(1, ROWS // beam)
-    chunks = [todo[start:start + size] for start in range(0, len(todo), size)]
-    stats = {"sentences": len(todo), "steps": 0, "rows": 0}
+    cpus = _usable_cpus()
+    chunks = _chunks(todo, encoded, max(1, ROWS // beam), cpus)
+    stats = {"sentences": len(todo), "steps": 0, "rows": 0, "chunks": len(chunks)}
     done = {}   # input line -> (hypothesis, TSV lines), until it is written
     written = 0
 
@@ -312,7 +356,8 @@ def translate_file(params, config, src_paths, out_path, vocabs, beam=8,
                 raise CorpusIOError(f"cannot write {dump_attention}: {e}") from e
             tsv.write("sentence\ttarget_pos\tencoder_id\tsource_pos\tweight\n")
         job = (params, config, encoded, tgt_vocab, beam, max_len, length_norm, tsv is not None)
-        with blas.one_thread(), _decoded_chunks(job, chunks) as decoded:
+        with blas.one_thread(), _decoded_chunks(job, chunks, cpus) as (decoded, workers):
+            stats["workers"] = workers
             for sentences, steps, stepped in decoded:
                 stats["steps"] += steps
                 stats["rows"] += stepped

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from msnmt import gradcheck as gc
-from msnmt import model as M
 from msnmt import synth
-from msnmt.data import build_vocab, encode_line, encode_tuples, make_batch
+from msnmt.data import build_vocab, encode_line, encode_tuples
 from msnmt.evaluation import bleu, score_files
 from msnmt.model import ModelConfig
 from msnmt.trainer import TrainConfig, clip_rescale, lr_at, train

@@ -345,6 +345,21 @@ class TestTrainTranslateScoreSmoke:
         # the decoding ran here, or in the workers
         assert (workers > 0) if cpus == 2 else (workers == 0 and own > 0)
 
+    @pytest.mark.parametrize("cpus, where", [(1, "this process"), (2, "2 worker processes")],
+                             ids=["serial", "workers"])
+    def test_translate_reports_how_it_decoded(self, trained, capsys, monkeypatch, cpus, where):
+        # at ROWS 4 and beam 2 the 8 sentences are 4 chunks of 2
+        root, data, out = trained
+        monkeypatch.setattr(dec_mod, "ROWS", 4)
+        monkeypatch.setattr(dec_mod, "_usable_cpus", lambda: cpus)
+        rc = run_cli(["translate", "--checkpoint", str(out / "checkpoint-epoch4"),
+                      "--src1", str(data / "dev-src1.txt"),
+                      "--out", str(root / f"hyp-how{cpus}.txt"), "--beam", "2"])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[-3] == f"decoded 4 chunk(s) in {where}"
+        assert err[-2].startswith("translated 8 sentences in ")
+
     def test_translate_source_count_mismatch(self, trained, capsys):
         root, data, out = trained
         rc = run_cli(["translate", "--checkpoint", str(out / "checkpoint-epoch4"),

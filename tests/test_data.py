@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msnmt.data import (BOS, EOS, PAD, RESERVED, UNK, Batch, Vocabulary,
+from msnmt.data import (BOS, EOS, PAD, RESERVED, UNK, Vocabulary,
                         batchify, build_vocab, decode_ids, encode_line,
                         encode_tuples, load_parallel, make_batch, read_lines)
 from msnmt.errors import (AlignmentError, ConfigError, CorpusIOError,

@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msnmt import decoding
 from msnmt import model as M
@@ -492,7 +494,9 @@ class TestWorkerDecoding:
         serial = self._translate(tmp_path, "serial", beam)
         assert set(pids.read_text(encoding="utf-8").split()) == {str(os.getpid())}
         assert str(os.getpid()) not in worker_pids and len(worker_pids) <= 2
-        assert in_workers == serial
+        # the same bytes and counts, but for the worker processes used
+        assert in_workers[:2] == serial[:2]
+        assert in_workers[2] == {**serial[2], "workers": 2} and serial[2]["workers"] == 0
         assert in_workers[2]["sentences"] == 12
 
     @pytest.mark.parametrize("rows, cpus", [(4, 1), (128, 2)], ids=["one-cpu", "one-chunk"])
@@ -534,6 +538,137 @@ class TestWorkerDecoding:
             self._translate(tmp_path, "dead", 1)
         assert time.perf_counter() - t0 < 30
         assert e.value.exit_code == 2
+
+
+class TestSplitDecoding:
+    """A file that gives fewer chunks than there are usable CPUs, but holds
+    SPLIT_TOKENS source tokens or more, is cut into one chunk per CPU, of
+    about equal source tokens; the workers must write what one CPU writes."""
+
+    FILES = TestWorkerDecoding.FILES
+    decode_chunk = staticmethod(decoding._decode_chunk)   # before any test patches it
+
+    def _translate(self, tmp_path, monkeypatch, tag, cpus, beam=1):
+        """(hypothesis bytes, TSV path, stats, [(pid, chunk)]) of one call with
+        ``cpus`` usable CPUs, each chunk recorded with the pid that decoded it."""
+        log = tmp_path / f"{tag}.chunks"
+        log.touch()
+
+        def recording(job, chunk):
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(" ".join(map(str, [os.getpid()] + chunk)) + "\n")
+            return self.decode_chunk(job, chunk)
+
+        monkeypatch.setattr(decoding, "_decode_chunk", recording)
+        monkeypatch.setattr(decoding, "_usable_cpus", lambda: cpus)
+        config, params, meta = M.load_checkpoint(os.path.join(FIXTURE, "model.ckpt"))
+        vocabs = ([Vocabulary(t) for t in meta["src"]], Vocabulary(meta["tgt"]))
+        out, tsv = tmp_path / f"{tag}.txt", tmp_path / f"{tag}.tsv"
+        stats = translate_file(params, config, self.FILES, str(out), vocabs, beam=beam,
+                               dump_attention=str(tsv))
+        chunks = [(ids[0], ids[1:]) for ids in
+                  ([int(x) for x in line.split()]
+                   for line in log.read_text(encoding="utf-8").splitlines())]
+        return out.read_bytes(), str(tsv), stats, chunks
+
+    def _tokens(self):
+        """{input line: source tokens, all sources counted} of the non-blank
+        lines, in length order (stably, by the longest source)."""
+        lines = zip(*(Path(p).read_text(encoding="utf-8").splitlines() for p in self.FILES))
+        lengths = {i: [len(l.split()) for l in srcs] for i, srcs in enumerate(lines)
+                   if all(l.strip() for l in srcs)}
+        return {i: sum(lengths[i]) for i in sorted(lengths, key=lambda i: max(lengths[i]))}
+
+    @pytest.mark.parametrize("beam", [1, 4])
+    def test_one_chunk_file_is_split_across_workers(self, tmp_path, monkeypatch, beam):
+        tokens = self._tokens()
+        # 12 lines and 158 source tokens: one chunk of ROWS // beam sentences,
+        # with a threshold the file just reaches
+        monkeypatch.setattr(decoding, "SPLIT_TOKENS", sum(tokens.values()))
+        hyp, tsv, stats, chunks = self._translate(tmp_path, monkeypatch, "split", 2, beam)
+        want_hyp, want_tsv, want_stats, want_chunks = self._translate(
+            tmp_path, monkeypatch, "serial", 1, beam)
+        assert want_chunks == [(os.getpid(), list(tokens))]
+        assert (want_stats["chunks"], want_stats["workers"]) == (1, 0)
+        assert (stats["chunks"], stats["workers"]) == (2, 2)
+        pids = {pid for pid, _ in chunks}
+        assert len(pids) == 2 and os.getpid() not in pids
+        # the same hypotheses and attention rows; weights to TestChunkedDecoding's 1e-6
+        assert hyp == want_hyp
+        header, rows = _tsv_rows(tsv)
+        want_header, want_rows = _tsv_rows(want_tsv)
+        assert header == want_header
+        assert [k for k, _ in rows] == [k for k, _ in want_rows]
+        assert all(abs(a - b) <= 1e-6 for (_, a), (_, b) in zip(rows, want_rows))
+        # every line once, in input order
+        assert [int(k[0]) for k, _ in rows] == sorted(int(k[0]) for k, _ in rows)
+        assert len(hyp.decode("utf-8").split("\n")) == 13 + 1
+        # contiguous parts of the length order, of about equal source tokens
+        order = list(tokens)
+        parts = sorted((chunk for _, chunk in chunks), key=lambda c: order.index(c[0]))
+        assert sum(parts, []) == order
+        assert all(len(part) <= decoding.ROWS // beam for part in parts)
+        first, second = parts
+        assert abs(sum(tokens[i] for i in first) - sum(tokens[i] for i in second)) <= \
+            max(tokens[first[-1]], tokens[second[0]])
+
+    def test_refused_fork_decodes_the_same_chunks_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(decoding, "SPLIT_TOKENS", 1)
+        hyp, tsv, stats, chunks = self._translate(tmp_path, monkeypatch, "workers", 2)
+        fork = mock.Mock(side_effect=BlockingIOError(11, "Resource temporarily unavailable"))
+        monkeypatch.setattr(os, "fork", fork)
+        got_hyp, got_tsv, got_stats, got_chunks = self._translate(tmp_path, monkeypatch,
+                                                                  "refused", 2)
+        assert fork.call_count == 1
+        assert (got_stats["chunks"], got_stats["workers"]) == (stats["chunks"], 0) == (2, 0)
+        assert {pid for pid, _ in got_chunks} == {os.getpid()}
+        assert sorted(c for _, c in got_chunks) == sorted(c for _, c in chunks)
+        assert got_hyp == hyp
+        assert Path(got_tsv).read_bytes() == Path(tsv).read_bytes()
+
+    def test_file_under_the_threshold_forks_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(decoding, "SPLIT_TOKENS", sum(self._tokens().values()) + 1)
+        monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+        hyp, _tsv, stats, chunks = self._translate(tmp_path, monkeypatch, "serial", 2)
+        assert (stats["chunks"], stats["workers"]) == (1, 0)
+        assert [pid for pid, _ in chunks] == [os.getpid()]
+        with open(os.path.join(FIXTURE, "hyp.beam1.txt"), "rb") as f:
+            assert hyp == f.read()
+
+    @staticmethod
+    def _chunk_sizes(tokens, size, cpus):
+        encoded = {i: ([0] * t,) for i, t in enumerate(tokens)}
+        return [len(c) for c in decoding._chunks(list(encoded), encoded, size, cpus)]
+
+    def test_chunks_of_size_where_they_are_enough(self, monkeypatch):
+        monkeypatch.setattr(decoding, "SPLIT_TOKENS", 1)
+        # as many chunks as CPUs, or one CPU: today's chunks of `size`
+        assert self._chunk_sizes([5] * 10, 4, 3) == [4, 4, 2]
+        assert self._chunk_sizes([5] * 10, 4, 1) == [4, 4, 2]
+        # at most one part per sentence
+        assert self._chunk_sizes([5, 5], 4, 4) == [1, 1]
+
+    def test_a_part_holds_at_most_size_sentences(self, monkeypatch):
+        monkeypatch.setattr(decoding, "SPLIT_TOKENS", 1)
+        # an equal share of the 59 tokens would put the first nine lines in one
+        # part; no part may hold more than 4
+        assert self._chunk_sizes([1] * 9 + [50], 4, 4) == [4, 4, 1, 1]
+        assert self._chunk_sizes([1] * 9 + [50], 5, 3) == [5, 4, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=40), st.integers(1, 16),
+           st.integers(2, 6))
+    def test_parts_cover_the_file_in_order(self, tokens, size, cpus):
+        encoded = {i: ([0] * t,) for i, t in enumerate(tokens)}
+        with mock.patch.object(decoding, "SPLIT_TOKENS", 1):
+            parts = decoding._chunks(list(encoded), encoded, size, cpus)
+        assert sum(parts, []) == list(encoded)
+        assert all(0 < len(part) <= size for part in parts)
+        if len(tokens) <= (cpus - 1) * size:       # fewer chunks of `size` than CPUs
+            assert len(parts) == min(cpus, len(tokens))
+        if len(parts) == 2 and len(tokens) <= size:
+            first, second = ([tokens[i] for i in part] for part in parts)
+            assert abs(sum(first) - sum(second)) <= max(first[-1], second[0])
 
 
 class TestChunkedDecoding:

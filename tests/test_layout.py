@@ -7,8 +7,8 @@ appears as code: a variable, an attribute or an import, not in a string or a
 comment.  Names are matched without their owner, so any ``x.load`` counts as a
 use of ``Vocabulary.load``.  ALLOWED holds the few kept for another reason.
 
-Every name a module in src/msnmt/ imports must be used in that module as
-code, listed in its ``__all__``, or imported on a line marked
+Every name a module in src/msnmt/ or tests/ imports must be used in that
+module as code, listed in its ``__all__``, or imported on a line marked
 ``# noqa: F401`` (pyflakes' own rule, checked without pyflakes installed).
 """
 
@@ -90,7 +90,8 @@ def unused_imports(tree, lines):
 
 
 def test_every_import_is_used():
-    unused = [f"{path.name}:{where}"
-              for path, tree in parse(sorted(SRC.glob("*.py"))).items()
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = [f"{path.relative_to(ROOT)}:{where}"
+              for path, tree in parse(paths).items()
               for where in unused_imports(tree, path.read_text(encoding="utf-8").splitlines())]
     assert not unused, f"imported but never used: {unused}"
